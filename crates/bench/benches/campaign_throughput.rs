@@ -1,7 +1,8 @@
 //! Campaign-throughput baseline: times a Table II + Table III campaign
 //! (256 runs per table by default) at 1 worker thread and at the
-//! env/machine-picked worker count, then writes `BENCH_campaign.json`
-//! at the repository root so the numbers are tracked in git.
+//! env/machine-picked worker count (at least 2, so the parallel side
+//! really runs in parallel), then writes `BENCH_campaign.json` at the
+//! repository root so the numbers are tracked in git.
 //!
 //! Reported per side: wall-clock seconds, completed runs/sec, ns per
 //! dispatched simulation event (Table II sub-campaign), and a heap
@@ -97,7 +98,10 @@ fn main() {
     let runs = if quick { 32 } else { 256 };
 
     let serial = measure_side(&Runner::new(1), runs);
-    let parallel = measure_side(&bench::campaign_runner(), runs);
+    let parallel = measure_side(
+        &Runner::new(bench::campaign_runner().threads().max(2)),
+        runs,
+    );
 
     // The two sides must have computed the same campaign — the runner
     // contract — before their timings are comparable.

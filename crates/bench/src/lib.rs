@@ -151,8 +151,22 @@ pub fn json_number_fields(src: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Validates a `BENCH_campaign.json` document: non-empty, and every
-/// required key present with a finite, non-negative value.
+/// The numeric fields of the object stored under `key` (the first
+/// `"key": { ... }` in the document, which must not nest further), or
+/// `None` when there is no such object.
+fn object_number_fields(src: &str, key: &str) -> Option<Vec<(String, f64)>> {
+    let after_key = src.find(&format!("\"{key}\""))? + key.len() + 2;
+    let rest = src[after_key..]
+        .trim_start()
+        .strip_prefix(':')?
+        .trim_start();
+    let body = rest.strip_prefix('{')?;
+    Some(json_number_fields(&body[..body.find('}')?]))
+}
+
+/// Validates a `BENCH_campaign.json` document: non-empty, every
+/// required key present with a finite, non-negative value, and a
+/// `parallel` side measured on at least 2 worker threads.
 ///
 /// # Errors
 ///
@@ -186,7 +200,14 @@ pub fn validate_campaign_json(src: &str) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    let parallel = object_number_fields(src, "parallel").ok_or("missing \"parallel\" object")?;
+    match parallel.iter().find(|(k, _)| k == "threads") {
+        Some(&(_, threads)) if threads >= 2.0 => Ok(()),
+        Some(&(_, threads)) => Err(format!(
+            "parallel side ran on {threads} thread(s); it needs at least 2"
+        )),
+        None => Err("parallel side has no \"threads\" field".to_owned()),
+    }
 }
 
 /// One node-count row of the city-scale benchmark.
@@ -447,6 +468,20 @@ mod tests {
         let json = campaign_json(&sample_measurement());
         let truncated = &json[..json.len() / 2];
         assert!(validate_campaign_json(truncated).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_a_single_threaded_parallel_side() {
+        let mut m = sample_measurement();
+        m.parallel.threads = 1;
+        let err = validate_campaign_json(&campaign_json(&m)).unwrap_err();
+        assert!(err.contains("at least 2"), "{err}");
+        m.parallel.threads = 2;
+        assert!(validate_campaign_json(&campaign_json(&m)).is_ok());
+        // Without a `parallel` object, the serial side's `threads`
+        // does not stand in for it.
+        let json = campaign_json(&sample_measurement()).replace("\"parallel\"", "\"other\"");
+        assert!(validate_campaign_json(&json).is_err());
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::dynamics::BicycleState;
 use crate::pid::Pid;
 use sim_core::SimRng;
 use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
 
 /// Ground-truth track: a polyline of the tape line on the floor.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,17 +219,21 @@ impl CameraModel {
         // so a boundary pixel the capsule math places up to 100 nm off
         // (f64 error here is ~1e-15 m) still gets the exact test.
         let reach = half_line + 1e-7;
-        for row in 0..self.height {
-            // Row 0 = far edge.
-            let ahead =
-                self.far_m - (self.far_m - self.near_m) * (row as f64 + 0.5) / self.height as f64;
-            // The row's scan line in world space: W(s) = base + s·dir
-            // with s the lateral coordinate and dir unit-length.
-            let bx = pose.x + ahead * cos_t;
-            let by = pose.y + ahead * sin_t;
-            let dir = (-sin_t, cos_t);
-            for seg in track.points.windows(2) {
-                let Some((s_lo, s_hi)) = capsule_span(seg[0], seg[1], (bx, by), dir, reach) else {
+        let dir = (-sin_t, cos_t);
+        // Segments outer, rows inner: a pixel is lit iff its exact test
+        // passes, whichever segment selected it, so the visiting order
+        // cannot change the frame.
+        for seg in track.points.windows(2) {
+            let capsule = Capsule::new(seg[0], seg[1], reach);
+            for row in 0..self.height {
+                // Row 0 = far edge.
+                let ahead = self.far_m
+                    - (self.far_m - self.near_m) * (row as f64 + 0.5) / self.height as f64;
+                // The row's scan line in world space: W(s) = base + s·dir
+                // with s the lateral coordinate and dir unit-length.
+                let bx = pose.x + ahead * cos_t;
+                let by = pose.y + ahead * sin_t;
+                let Some((s_lo, s_hi)) = capsule.span((bx, by), dir) else {
                     continue;
                 };
                 // Lateral → column (lateral = -half_width + (col+0.5)·mpc),
@@ -259,74 +264,85 @@ impl CameraModel {
     }
 }
 
-/// Intersects the scan line `base + s·dir` (`dir` unit-length) with the
-/// capsule of radius `r` around segment `ab`, returning the `s`-span of
-/// the intersection (a single interval — capsules are convex) or `None`
-/// when the line misses it entirely. Used only to *select candidate
-/// pixels* in [`CameraModel::capture_into`]; the margin built into `r`
-/// plus the caller's column guard band make any rounding here
-/// inconsequential for the rendered bits.
-fn capsule_span(
+/// A track segment `ab` dilated by radius `r`, with its length and unit
+/// axis worked out once per capture rather than once per scan line.
+struct Capsule {
     a: (f64, f64),
     b: (f64, f64),
-    base: (f64, f64),
-    dir: (f64, f64),
     r: f64,
-) -> Option<(f64, f64)> {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    // End discs: |base + s·dir − p|² ≤ r², i.e. s² + 2·bq·s + c ≤ 0.
-    for p in [a, b] {
-        let ex = base.0 - p.0;
-        let ey = base.1 - p.1;
-        let bq = ex * dir.0 + ey * dir.1;
-        let c = ex * ex + ey * ey - r * r;
-        let disc = bq * bq - c;
-        if disc >= 0.0 {
-            let sq = disc.sqrt();
-            lo = lo.min(-bq - sq);
-            hi = hi.max(-bq + sq);
-        }
+    /// Unit vector from `a` to `b` and the segment length; `None` for a
+    /// degenerate (zero-length) segment, which is just a disc.
+    axis: Option<((f64, f64), f64)>,
+}
+
+impl Capsule {
+    fn new(a: (f64, f64), b: (f64, f64), r: f64) -> Self {
+        let abx = b.0 - a.0;
+        let aby = b.1 - a.1;
+        let len = (abx * abx + aby * aby).sqrt();
+        let axis = (len > 0.0).then(|| ((abx / len, aby / len), len));
+        Self { a, b, r, axis }
     }
-    // Rectangle part: |perp offset| ≤ r within the segment's extent.
-    let abx = b.0 - a.0;
-    let aby = b.1 - a.1;
-    let len = (abx * abx + aby * aby).sqrt();
-    if len > 0.0 {
-        let ux = abx / len;
-        let uy = aby / len;
-        let px = base.0 - a.0;
-        let py = base.1 - a.1;
-        // Signed perp distance and along-segment coordinate, both
-        // affine in s.
-        let constraints = [
-            (px * uy - py * ux, dir.0 * uy - dir.1 * ux, -r, r),
-            (px * ux + py * uy, dir.0 * ux + dir.1 * uy, 0.0, len),
-        ];
-        let mut rlo = f64::NEG_INFINITY;
-        let mut rhi = f64::INFINITY;
-        let mut feasible = true;
-        for (c0, dc, lim_lo, lim_hi) in constraints {
-            if dc.abs() < 1e-12 {
-                // Scan line (anti)parallel to this constraint: it either
-                // holds for every s or for none.
-                if c0 < lim_lo || c0 > lim_hi {
-                    feasible = false;
-                    break;
-                }
-            } else {
-                let s1 = (lim_lo - c0) / dc;
-                let s2 = (lim_hi - c0) / dc;
-                rlo = rlo.max(s1.min(s2));
-                rhi = rhi.min(s1.max(s2));
+
+    /// Intersects the scan line `base + s·dir` (`dir` unit-length) with
+    /// the capsule, returning the `s`-span of the intersection (a single
+    /// interval — capsules are convex) or `None` when the line misses it
+    /// entirely. Used only to *select candidate pixels* in
+    /// [`CameraModel::capture_into`]; the margin built into `r` plus the
+    /// caller's column guard band make any rounding here inconsequential
+    /// for the rendered bits.
+    fn span(&self, base: (f64, f64), dir: (f64, f64)) -> Option<(f64, f64)> {
+        let r = self.r;
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        // End discs: |base + s·dir − p|² ≤ r², i.e. s² + 2·bq·s + c ≤ 0.
+        for p in [self.a, self.b] {
+            let ex = base.0 - p.0;
+            let ey = base.1 - p.1;
+            let bq = ex * dir.0 + ey * dir.1;
+            let c = ex * ex + ey * ey - r * r;
+            let disc = bq * bq - c;
+            if disc >= 0.0 {
+                let sq = disc.sqrt();
+                lo = lo.min(-bq - sq);
+                hi = hi.max(-bq + sq);
             }
         }
-        if feasible && rlo <= rhi {
-            lo = lo.min(rlo);
-            hi = hi.max(rhi);
+        // Rectangle part: |perp offset| ≤ r within the segment's extent.
+        if let Some(((ux, uy), len)) = self.axis {
+            let px = base.0 - self.a.0;
+            let py = base.1 - self.a.1;
+            // Signed perp distance and along-segment coordinate, both
+            // affine in s.
+            let constraints = [
+                (px * uy - py * ux, dir.0 * uy - dir.1 * ux, -r, r),
+                (px * ux + py * uy, dir.0 * ux + dir.1 * uy, 0.0, len),
+            ];
+            let mut rlo = f64::NEG_INFINITY;
+            let mut rhi = f64::INFINITY;
+            let mut feasible = true;
+            for (c0, dc, lim_lo, lim_hi) in constraints {
+                if dc.abs() < 1e-12 {
+                    // Scan line (anti)parallel to this constraint: it
+                    // either holds for every s or for none.
+                    if c0 < lim_lo || c0 > lim_hi {
+                        feasible = false;
+                        break;
+                    }
+                } else {
+                    let s1 = (lim_lo - c0) / dc;
+                    let s2 = (lim_hi - c0) / dc;
+                    rlo = rlo.max(s1.min(s2));
+                    rhi = rhi.min(s1.max(s2));
+                }
+            }
+            if feasible && rlo <= rhi {
+                lo = lo.min(rlo);
+                hi = hi.max(rhi);
+            }
         }
+        (lo <= hi).then_some((lo, hi))
     }
-    (lo <= hi).then_some((lo, hi))
 }
 
 /// Extracts edge pixels: positions where the binary intensity changes
@@ -337,13 +353,18 @@ pub fn detect_edges(frame: &Frame) -> Vec<(usize, usize)> {
     edges
 }
 
-/// [`detect_edges`] into a reusable buffer (cleared first).
+/// [`detect_edges`] into a reusable buffer (cleared first). Walks the
+/// frame one row slice at a time, comparing each pixel with its left
+/// neighbour in the same order as a `(row, col)` scan.
 pub fn detect_edges_into(frame: &Frame, edges: &mut Vec<(usize, usize)>) {
     edges.clear();
-    for row in 0..frame.height() {
-        for col in 1..frame.width() {
-            if frame.get(row, col) != frame.get(row, col - 1) {
-                edges.push((row, col));
+    if frame.width == 0 {
+        return;
+    }
+    for (row, pixels) in frame.pixels.chunks_exact(frame.width).enumerate() {
+        for (col, pair) in pixels.windows(2).enumerate() {
+            if pair[1] != pair[0] {
+                edges.push((row, col + 1));
             }
         }
     }
@@ -398,13 +419,138 @@ pub fn hough_lines(
 
 const THETA_BINS: usize = 45; // 4° steps over [0, π)
 
+/// Frames above this many pixels get no per-pixel vote table (at the cap
+/// it would hold 2.8 MiB); their points all take the per-point path.
+const VOTE_TABLE_MAX_PIXELS: usize = 1 << 15;
+
+/// The (ρ, θ) quantisation of one frame geometry, with the accumulator
+/// cells of every pixel in the frame worked out in advance.
+///
+/// A point's 45 cells depend only on the point and the geometry, so
+/// they are computed once per process per `width × height` with
+/// [`VoteTable::point_cells`] — the same `π·tb/bins` trig values and the
+/// same `(ρ + diag).round()` bin expression the vote always used — and
+/// stored as `u16` cell indices, `THETA_BINS` per pixel, row-major. A
+/// sampled point then costs 45 table reads and integer adds, with no
+/// trig and no `round`, and every cell is bitwise the one the direct
+/// computation gives. Points outside the frame are voted through
+/// `point_cells` itself, so [`hough_lines`] keeps its semantics for any
+/// input.
+struct VoteTable {
+    width: usize,
+    height: usize,
+    diag: f64,
+    rho_bins: usize,
+    trig: [(f64, f64); THETA_BINS],
+    /// `THETA_BINS` cell indices per pixel; empty when the geometry is
+    /// too large to tabulate. An out-of-range ρ maps to the dump cell
+    /// `THETA_BINS · rho_bins`, one past the accumulator proper.
+    cells: Vec<u16>,
+}
+
+/// Every vote table built in this process, one per frame geometry.
+/// Tables are immutable once built and never freed, so any thread can
+/// hold one as `&'static`.
+static VOTE_TABLES: Mutex<Vec<&'static VoteTable>> = Mutex::new(Vec::new());
+
+impl VoteTable {
+    /// The process-wide table for a `width × height` frame, built on
+    /// first use.
+    fn shared(width: usize, height: usize) -> &'static VoteTable {
+        // The only update is a push of a finished table, so a panic
+        // while the lock was held cannot have left the list invalid.
+        let mut tables = VOTE_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&table) = tables
+            .iter()
+            .find(|t| t.width == width && t.height == height)
+        {
+            return table;
+        }
+        let table: &'static VoteTable = Box::leak(Box::new(VoteTable::build(width, height)));
+        tables.push(table);
+        table
+    }
+
+    fn build(width: usize, height: usize) -> Self {
+        let diag = ((width * width + height * height) as f64).sqrt();
+        let rho_bins = (2.0 * diag).ceil() as usize + 1;
+        let mut trig = [(0.0f64, 0.0f64); THETA_BINS];
+        for (tb, t) in trig.iter_mut().enumerate() {
+            let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
+            *t = (theta.cos(), theta.sin());
+        }
+        let mut table = Self {
+            width,
+            height,
+            diag,
+            rho_bins,
+            trig,
+            cells: Vec::new(),
+        };
+        let pixels = width.saturating_mul(height);
+        if pixels <= VOTE_TABLE_MAX_PIXELS && table.dump_cell() <= usize::from(u16::MAX) {
+            table.cells.reserve_exact(pixels * THETA_BINS);
+            for row in 0..height {
+                for col in 0..width {
+                    let cells = table
+                        .point_cells(row, col)
+                        .map(|c| u16::try_from(c).expect("cell ≤ dump cell, checked to fit above"));
+                    table.cells.extend_from_slice(&cells);
+                }
+            }
+        }
+        table
+    }
+
+    fn dump_cell(&self) -> usize {
+        THETA_BINS * self.rho_bins
+    }
+
+    /// The cells point `(row, col)` votes for, one per θ bin.
+    fn point_cells(&self, row: usize, col: usize) -> [usize; THETA_BINS] {
+        std::array::from_fn(|tb| {
+            let (cos_t, sin_t) = self.trig[tb];
+            let rho = col as f64 * cos_t + row as f64 * sin_t;
+            let rb = (rho + self.diag).round() as usize;
+            if rb < self.rho_bins {
+                tb * self.rho_bins + rb
+            } else {
+                self.dump_cell()
+            }
+        })
+    }
+
+    /// The tabulated cells of pixel `(row, col)`, or `None` when the
+    /// point lies outside the table's frame.
+    fn pixel_cells(&self, row: usize, col: usize) -> Option<&[u16]> {
+        if row >= self.height || col >= self.width {
+            return None;
+        }
+        let start = (row * self.width + col) * THETA_BINS;
+        self.cells.get(start..start + THETA_BINS)
+    }
+}
+
+impl std::fmt::Debug for VoteTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VoteTable")
+            .field("width", &self.width)
+            .field("height", &self.height)
+            .field("rho_bins", &self.rho_bins)
+            .field("cells", &self.cells.len())
+            .finish()
+    }
+}
+
 /// Reusable accumulator storage for [`hough_lines_into`].
 #[derive(Debug, Clone, Default)]
 pub struct HoughScratch {
-    acc: Vec<u32>,
-    /// Memoized accumulator indices, [`THETA_BINS`] per edge point
-    /// (`u32::MAX` marks an out-of-range ρ bin).
-    votes: Vec<u32>,
+    /// Votes per (θ, ρ) cell plus the dump cell. A cell takes at most
+    /// one vote per sample (≤ 256) and the dump cell at most 45 per
+    /// sample, so `u16` cannot overflow.
+    acc: Vec<u16>,
+    /// The shared vote table of the last frame geometry seen.
+    table: Option<&'static VoteTable>,
 }
 
 impl HoughScratch {
@@ -416,11 +562,10 @@ impl HoughScratch {
 
 /// [`hough_lines`] with caller-provided scratch and output buffers.
 ///
-/// Identical votes and lines: the per-bin trig values are hoisted into a
-/// table computed with the same `π·tb/bins` expression the inner loop
-/// used, so every `(ρ, θ)` pair — and thus every accumulator cell — is
-/// bitwise identical, at 45 trig calls per frame instead of 45 per
-/// sampled point. The RNG draw sequence is unchanged.
+/// Identical votes and lines: each sampled point votes the cells its
+/// frame geometry's shared vote table lists for it, which are bitwise
+/// the cells the direct `(ρ, θ)` quantisation gives (see `VoteTable`).
+/// The RNG draw sequence is unchanged.
 #[allow(clippy::too_many_arguments)] // mirrors `hough_lines` plus the two buffers
 pub fn hough_lines_into(
     edges: &[(usize, usize)],
@@ -435,61 +580,54 @@ pub fn hough_lines_into(
     if edges.is_empty() {
         return;
     }
-    let diag = ((frame_width * frame_width + frame_height * frame_height) as f64).sqrt();
-    let rho_bins = (2.0 * diag).ceil() as usize + 1;
+    let table = match scratch.table {
+        Some(t) if t.width == frame_width && t.height == frame_height => t,
+        _ => VoteTable::shared(frame_width, frame_height),
+    };
+    scratch.table = Some(table);
     let acc = &mut scratch.acc;
     acc.clear();
-    acc.resize(THETA_BINS * rho_bins, 0);
-    let mut trig = [(0.0f64, 0.0f64); THETA_BINS];
-    for (tb, t) in trig.iter_mut().enumerate() {
-        let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
-        *t = (theta.cos(), theta.sin());
-    }
-    // Each edge point's 45 accumulator cells depend only on the point,
-    // and the sampler draws *with replacement* from a set that is
-    // usually far smaller than the sample budget — so the (ρ, θ)
-    // quantisation is memoized once per point (same expressions, same
-    // bins bitwise) and each sample reduces to 45 integer adds.
-    let memo = &mut scratch.votes;
-    memo.clear();
-    memo.reserve(edges.len() * THETA_BINS);
-    for &(row, col) in edges {
-        for (tb, &(cos_t, sin_t)) in trig.iter().enumerate() {
-            let rho = col as f64 * cos_t + row as f64 * sin_t;
-            let rb = (rho + diag).round() as usize;
-            memo.push(if rb < rho_bins {
-                // THETA_BINS·rho_bins ≈ 6.5k cells — far below u32::MAX.
-                (tb * rho_bins + rb) as u32
-            } else {
-                u32::MAX
-            });
-        }
-    }
+    // Every (θ, ρ) cell plus the dump cell.
+    acc.resize(table.dump_cell() + 1, 0);
     // Probabilistic subsampling: at most 256 points, as in the
     // progressive probabilistic Hough transform's random selection stage.
     let samples = edges.len().min(256);
     for _ in 0..samples {
-        let point = rng.below(edges.len() as u64) as usize;
-        for &cell in &memo[point * THETA_BINS..(point + 1) * THETA_BINS] {
-            if cell != u32::MAX {
-                acc[cell as usize] += 1;
+        let (row, col) = edges[rng.below(edges.len() as u64) as usize];
+        match table.pixel_cells(row, col) {
+            Some(cells) => {
+                for &cell in cells {
+                    acc[usize::from(cell)] += 1;
+                }
+            }
+            None => {
+                for cell in table.point_cells(row, col) {
+                    acc[cell] += 1;
+                }
             }
         }
     }
-    lines.extend(
-        acc.iter()
-            .enumerate()
-            .filter(|&(_, &v)| v >= min_votes)
-            .map(|(idx, &v)| {
+    // Cells are read in index order, as one filter over the whole
+    // accumulator would; runs of 16 with no cell at `min_votes` are
+    // skipped on a (vectorisable) max, since most of the grid is empty.
+    let (rho_bins, diag) = (table.rho_bins, table.diag);
+    for (run, votes) in acc[..table.dump_cell()].chunks(16).enumerate() {
+        if u32::from(votes.iter().fold(0, |m, &v| m.max(v))) < min_votes {
+            continue;
+        }
+        for (i, &v) in votes.iter().enumerate() {
+            if u32::from(v) >= min_votes {
+                let idx = run * 16 + i;
                 let tb = idx / rho_bins;
                 let rb = idx % rho_bins;
-                HoughLine {
+                lines.push(HoughLine {
                     rho: rb as f64 - diag,
                     theta: std::f64::consts::PI * tb as f64 / THETA_BINS as f64,
-                    votes: v,
-                }
-            }),
-    );
+                    votes: u32::from(v),
+                });
+            }
+        }
+    }
     lines.sort_by_key(|l| std::cmp::Reverse(l.votes));
     lines.truncate(8);
 }
@@ -499,7 +637,9 @@ pub fn hough_lines_into(
 /// [`LineFollower`]; without recycling, every run re-pays the
 /// pipeline's first-frame buffer growth (~15 allocations). Each buffer
 /// is cleared or fully overwritten before use, so recycling cannot
-/// change any output bit — the pool is a free list, not a cache.
+/// change any output bit — the pool is a free list, not a cache. (The
+/// Hough scratch also keeps its vote-table reference; tables are
+/// immutable and matched to the frame geometry on every call.)
 #[derive(Debug, Default)]
 struct VisionBuffers {
     pixels: Vec<bool>,
@@ -858,7 +998,7 @@ mod tests {
     #[test]
     fn closed_loop_follows_the_corner() {
         // The L-corner track at a cautious speed: the follower must stay
-        // on the line through the 0.5 m-radius turn.
+        // on the line through the 1.5 m-radius turn.
         let track = Track::l_corner(3.0);
         let params = VehicleParams::default();
         let mut pose = BicycleState {
@@ -899,10 +1039,10 @@ mod tests {
         );
     }
 
-    /// The pre-optimization vote loop: θ, cos θ and sin θ evaluated
-    /// inline for every sampled point. The production path hoists them
-    /// into a per-call table computed with the same expressions; this
-    /// reference pins that the hoist is bitwise-neutral.
+    /// The pre-optimization vote loop: θ, cos θ, sin θ and the ρ bin
+    /// evaluated inline for every sampled point. The production path
+    /// reads each point's cells from the shared per-pixel vote table;
+    /// this reference pins that the table is bitwise-neutral.
     fn hough_reference(
         edges: &[(usize, usize)],
         frame_width: usize,
@@ -972,6 +1112,104 @@ mod tests {
         }
         // Same number of RNG draws on both paths.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    /// Lines of the table path and of the reference must agree in every
+    /// bit, and both must leave the RNG at the same draw.
+    fn assert_matches_reference(
+        edges: &[(usize, usize)],
+        width: usize,
+        height: usize,
+        min_votes: u32,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut rng_a = SimRng::seed_from(seed);
+        let mut rng_b = SimRng::seed_from(seed);
+        let expect = hough_reference(edges, width, height, min_votes, &mut rng_a);
+        let got = hough_lines(edges, width, height, min_votes, &mut rng_b);
+        prop_assert_eq!(expect.len(), got.len());
+        for (e, g) in expect.iter().zip(&got) {
+            prop_assert_eq!(e.rho.to_bits(), g.rho.to_bits());
+            prop_assert_eq!(e.theta.to_bits(), g.theta.to_bits());
+            prop_assert_eq!(e.votes, g.votes);
+        }
+        prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+        Ok(())
+    }
+
+    #[test]
+    fn vote_cells_match_direct_quantisation() {
+        // Every cell a point votes for, in the frame (from the table) and
+        // out to three frames away (per point), against the reference's
+        // inline quantisation: out-of-range ρ bins get no vote.
+        for (width, height) in [(64, 32), (96, 48)] {
+            let table = VoteTable::shared(width, height);
+            assert_eq!(table.cells.len(), width * height * THETA_BINS);
+            let diag = ((width * width + height * height) as f64).sqrt();
+            for row in 0..3 * height {
+                for col in 0..3 * width {
+                    let cells: Vec<usize> = match table.pixel_cells(row, col) {
+                        Some(cells) => cells.iter().map(|&c| usize::from(c)).collect(),
+                        None => table.point_cells(row, col).to_vec(),
+                    };
+                    assert_eq!(cells.len(), THETA_BINS);
+                    for (tb, &cell) in cells.iter().enumerate() {
+                        let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
+                        let rho = col as f64 * theta.cos() + row as f64 * theta.sin();
+                        let rb = (rho + diag).round() as usize;
+                        if rb < table.rho_bins {
+                            assert_eq!(cell, tb * table.rho_bins + rb, "({row}, {col}) θ bin {tb}");
+                        } else {
+                            assert_eq!(cell, table.dump_cell(), "({row}, {col}) θ bin {tb}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_frames_vote_without_a_table() {
+        // 256 × 256 exceeds the tabulated size: every point takes the
+        // per-point path, with the same lines as the reference.
+        let table = VoteTable::shared(256, 256);
+        assert!(table.cells.is_empty());
+        let edges: Vec<(usize, usize)> = (0..300).map(|i| (i % 256, (i * 7) % 256)).collect();
+        assert_matches_reference(&edges, 256, 256, 2, 11).unwrap();
+    }
+
+    #[test]
+    fn vote_table_is_built_once_and_shared_across_threads() {
+        let table_on_new_thread = || {
+            std::thread::spawn(|| {
+                let mut follower = LineFollower::new();
+                let mut rng = SimRng::seed_from(5);
+                let pose = BicycleState {
+                    x: 1.0,
+                    y: 0.05,
+                    theta: 0.0,
+                };
+                assert!(follower
+                    .steering(&pose, &Track::straight(20.0), 0.02, &mut rng)
+                    .is_some());
+                follower
+                    .hough
+                    .table
+                    .expect("table fetched by the first frame")
+            })
+            .join()
+            .unwrap()
+        };
+        let (a, b) = (table_on_new_thread(), table_on_new_thread());
+        assert!(std::ptr::eq(a, b), "one table instance for both threads");
+        let cam = CameraModel::default();
+        let built = VOTE_TABLES
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|t| t.width == cam.width && t.height == cam.height)
+            .count();
+        assert_eq!(built, 1, "the default geometry's table is built once");
     }
 
     #[test]
@@ -1077,6 +1315,23 @@ mod tests {
             let expect = capture_reference(&cam, &pose, &track);
             let got = cam.capture(&pose, &track);
             prop_assert_eq!(expect, got);
+        }
+
+        #[test]
+        fn hough_table_matches_reference_bitwise(
+            in_frame in proptest::collection::vec((0usize..56, 0usize..112), 0..400),
+            far in proptest::collection::vec((0usize..5000, 0usize..5000), 0..4),
+            wide in any::<bool>(),
+            min_votes in 1u32..12,
+            seed in any::<u64>(),
+        ) {
+            // Up to 400 points (so the 256-draw cap is exercised), part of
+            // them past the frame's right or bottom edge and a few far
+            // outside it, on the default camera and one larger geometry.
+            let (width, height) = if wide { (96, 48) } else { (64, 32) };
+            let mut edges = in_frame;
+            edges.extend(far);
+            assert_matches_reference(&edges, width, height, min_votes, seed)?;
         }
 
         #[test]
