@@ -1,227 +1,31 @@
 //! Chunk fan-out over socket workers.
 //!
-//! [`SocketFanout`] is the campaign server's executor core: the exact
-//! coordinator algorithm of `shard::ShardExecutor`, with
-//! [`TcpTransport`] links to already-running socket workers in place of
-//! re-exec'd pipe children. The determinism contract is inherited
-//! unchanged — chunks come from the shared [`runner::chunk_bounds`]
-//! math over the row-major flattened grid, are merged strictly in chunk
-//! order, and any chunk whose worker fails, stalls, or refuses is
-//! re-executed in-process ([`shard::protocol::compute_chunk`]) for
-//! identical bytes. Worker count, worker death, and worker order
-//! therefore never change a single output byte.
+//! [`SocketFanout`] is the campaign server's executor core: the one
+//! `shard` coordinator loop ([`shard::coordinator`]) with
+//! [`TcpTransport`](shard::transport::TcpTransport) links to
+//! already-running socket workers in place of re-exec'd pipe children.
+//! The determinism contract is the pipe executor's, unchanged — chunks
+//! come from the shared [`runner::chunk_bounds`] math, are merged
+//! strictly in chunk order, and any chunk whose worker fails, stalls, or
+//! refuses is re-executed in-process for identical bytes. Worker count,
+//! worker death, and worker order therefore never change a single
+//! output byte.
+//!
+//! `run_flat` fans the whole flattened grid over the workers it is
+//! given (the campaign server passes its pool per submission); the
+//! [`Executor`](its_testbed::campaign::Executor) impl fans over the
+//! workers bound with `with_workers`, sharding a lone spec of the grid
+//! by its grid position exactly as `shard::ShardExecutor` does.
 
-use its_testbed::campaign::{grid_fingerprint, CampaignSpec, Executor};
-use its_testbed::RunRecord;
-use shard::protocol::{compute_chunk, encode_assignment, grid_offsets, Assignment, FLAT_GRID};
-use shard::transport::{collect_chunk, ChunkFailure, FrameTransport, TcpTransport};
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
-
-/// Fans one campaign grid out across socket workers and merges the
-/// chunks deterministically.
-#[derive(Debug)]
-pub struct SocketFanout {
-    campaign: String,
-    grid: Vec<CampaignSpec>,
-    grid_fp: u64,
-    timeout: Duration,
-    fallback_chunks: AtomicUsize,
-    timed_out_chunks: AtomicUsize,
-}
-
-impl SocketFanout {
-    /// A fan-out for `campaign`'s derived `grid`. The fingerprint sent
-    /// in every assignment is computed here, from the server's own
-    /// derivation.
-    pub fn new(campaign: &str, grid: Vec<CampaignSpec>) -> Self {
-        let grid_fp = grid_fingerprint(&grid);
-        Self {
-            campaign: campaign.to_owned(),
-            grid,
-            grid_fp,
-            timeout: Duration::from_secs(120),
-            fallback_chunks: AtomicUsize::new(0),
-            timed_out_chunks: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replaces the per-chunk result timeout (default 120 s).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Chunks re-executed in-process because a worker failed, timed
-    /// out, or refused its assignment.
-    pub fn fallback_chunks(&self) -> usize {
-        self.fallback_chunks.load(Ordering::Relaxed)
-    }
-
-    /// The subset of [`Self::fallback_chunks`] caused by the per-chunk
-    /// timeout specifically.
-    pub fn timed_out_chunks(&self) -> usize {
-        self.timed_out_chunks.load(Ordering::Relaxed)
-    }
-
-    /// Runs the whole flattened grid across `workers` and returns the
-    /// flat records in job order — byte-identical to serial execution
-    /// at any worker count, including zero (pure local execution).
-    pub fn run_flat(&self, workers: &[SocketAddr]) -> Vec<RunRecord> {
-        let offsets = grid_offsets(&self.grid);
-        let jobs = offsets.last().copied().unwrap_or(0);
-        if jobs == 0 {
-            return Vec::new();
-        }
-        if workers.is_empty() {
-            // No workers is a configuration, not a failure: serve
-            // in-process without touching the fallback counters.
-            return self.local(0, jobs);
-        }
-        let n = workers.len().min(jobs);
-        let chunks: Vec<(usize, usize)> =
-            (0..n).map(|w| runner::chunk_bounds(jobs, n, w)).collect();
-
-        // Assign every worker its chunk up front — each TcpTransport
-        // starts its reader at send_frame, so workers compute
-        // concurrently while we collect in chunk order below.
-        let links: Vec<Option<TcpTransport>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(w, &(lo, hi))| {
-                let addr = workers.get(w).copied()?;
-                let mut link = TcpTransport::connect(addr).ok()?;
-                let frame = encode_assignment(&Assignment {
-                    worker_index: w as u32,
-                    campaign: self.campaign.clone(),
-                    grid_fp: self.grid_fp,
-                    spec_index: FLAT_GRID,
-                    lo: lo as u64,
-                    hi: hi as u64,
-                });
-                link.send_frame(&frame).ok()?;
-                Some(link)
-            })
-            .collect();
-
-        let mut out = Vec::with_capacity(jobs);
-        for (link, &(lo, hi)) in links.into_iter().zip(&chunks) {
-            let collected = match link {
-                Some(mut link) => collect_chunk(&mut link, hi - lo, self.timeout),
-                None => Err(ChunkFailure::Failed("worker unreachable".into())),
-            };
-            match collected {
-                Ok(records) => out.extend(records),
-                Err(failure) => {
-                    if failure == ChunkFailure::TimedOut {
-                        self.timed_out_chunks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.fallback_chunks.fetch_add(1, Ordering::Relaxed);
-                    out.extend(self.local(lo, hi));
-                }
-            }
-        }
-        out
-    }
-
-    /// In-process execution of flat jobs `lo..hi` — the worker's exact
-    /// compute step, used for zero-worker serving and chunk fallback.
-    fn local(&self, lo: usize, hi: usize) -> Vec<RunRecord> {
-        // The bounds come from grid_offsets over this same grid, so the
-        // error arm is unreachable; an empty chunk (not a panic) is the
-        // contained failure mode if that invariant ever broke.
-        compute_chunk(&self.grid, FLAT_GRID, lo, hi).unwrap_or_default()
-    }
-}
-
-/// Socket workers as a first-class [`Executor`]: the campaign-side
-/// counterpart of `shard::ShardExecutor`, binding one campaign grid and
-/// fanning matching submissions over [`SocketFanout`]'s TCP links.
-///
-/// The executor contract is inherited from the fanout: a grid whose
-/// fingerprint matches the bound campaign runs across the workers and
-/// merges byte-identically to [`its_testbed::campaign::Serial`]; any
-/// other grid (which the workers could not re-derive, so every chunk
-/// would be refused) is computed locally — degraded, never wrong.
-/// `run_indexed` keeps the trait's deterministic serial default:
-/// arbitrary closures cannot be shipped to worker processes, so
-/// non-spec sweeps (the city benchmark, the cooperative fault sweep)
-/// run in-process with unchanged bytes.
-#[derive(Debug)]
-pub struct FanoutExecutor {
-    campaign: String,
-    grid: Vec<CampaignSpec>,
-    grid_fp: u64,
-    workers: Vec<SocketAddr>,
-    timeout: Duration,
-    fallback_grids: AtomicUsize,
-}
-
-impl FanoutExecutor {
-    /// Binds `campaign`'s derived `grid` to the given socket `workers`.
-    pub fn new(campaign: &str, grid: Vec<CampaignSpec>, workers: Vec<SocketAddr>) -> Self {
-        let grid_fp = grid_fingerprint(&grid);
-        Self {
-            campaign: campaign.to_owned(),
-            grid,
-            grid_fp,
-            workers,
-            timeout: Duration::from_secs(120),
-            fallback_grids: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replaces the per-chunk result timeout (default 120 s).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Grids executed locally because they were not the bound campaign.
-    pub fn fallback_grids(&self) -> usize {
-        self.fallback_grids.load(Ordering::Relaxed)
-    }
-}
-
-impl Executor for FanoutExecutor {
-    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord> {
-        // A lone spec is addressable over the flat-grid protocol only
-        // when it *is* the bound grid.
-        self.execute_grid(std::slice::from_ref(spec))
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        let flat = if grid_fingerprint(specs) == self.grid_fp {
-            SocketFanout::new(&self.campaign, self.grid.clone())
-                .with_timeout(self.timeout)
-                .run_flat(&self.workers)
-        } else {
-            self.fallback_grids.fetch_add(1, Ordering::Relaxed);
-            let offsets = grid_offsets(specs);
-            (0..offsets.last().copied().unwrap_or(0))
-                .map(|j| shard::protocol::flat_job(specs, &offsets, j))
-                .collect()
-        };
-        let mut records = flat.into_iter();
-        specs
-            .iter()
-            .map(|spec| records.by_ref().take(spec.runs).collect())
-            .collect()
-    }
-}
+pub use shard::SocketFanout;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use its_testbed::campaign::{CampaignRegistry, Serial};
-    use its_testbed::ScenarioConfig;
+    use its_testbed::campaign::{CampaignRegistry, CampaignSpec, Executor, Serial};
+    use its_testbed::{RunRecord, ScenarioConfig};
     use shard::transport::serve_connections;
-    use std::net::TcpListener;
+    use std::net::{SocketAddr, TcpListener};
 
     fn demo_grid() -> Vec<CampaignSpec> {
         vec![
@@ -292,12 +96,12 @@ mod tests {
     #[test]
     fn fanout_executor_matches_serial_over_workers() {
         let workers: Vec<SocketAddr> = (0..2).map(|_| spawn_worker()).collect();
-        let exec = FanoutExecutor::new("demo", demo_grid(), workers);
+        let exec = SocketFanout::new("demo", demo_grid()).with_workers(workers);
         assert_eq!(
             exec.execute_grid(&demo_grid()),
             Serial.execute_grid(&demo_grid())
         );
-        assert_eq!(exec.fallback_grids(), 0);
+        assert_eq!(exec.fallback_chunks(), 0);
         // A foreign grid is computed locally — identical bytes, counted.
         let foreign = vec![CampaignSpec::new(
             ScenarioConfig {
@@ -307,7 +111,29 @@ mod tests {
             2,
         )];
         assert_eq!(exec.execute_grid(&foreign), Serial.execute_grid(&foreign));
-        assert_eq!(exec.fallback_grids(), 1);
+        assert_eq!(exec.fallback_chunks(), 1);
+    }
+
+    #[test]
+    fn fanout_executor_counts_a_dead_worker() {
+        let live = spawn_worker();
+        let dead: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let exec = SocketFanout::new("demo", demo_grid()).with_workers(vec![live, dead]);
+        assert_eq!(
+            exec.execute_grid(&demo_grid()),
+            Serial.execute_grid(&demo_grid())
+        );
+        assert_eq!(exec.fallback_chunks(), 1);
+        assert_eq!(exec.timed_out_chunks(), 0);
+    }
+
+    #[test]
+    fn fanout_executor_shards_a_lone_spec_of_its_grid() {
+        let workers: Vec<SocketAddr> = (0..2).map(|_| spawn_worker()).collect();
+        let exec = SocketFanout::new("demo", demo_grid()).with_workers(workers);
+        let spec = &demo_grid()[1];
+        assert_eq!(spec.execute(&exec), spec.execute(&Serial));
+        assert_eq!(exec.fallback_chunks(), 0);
     }
 
     #[test]

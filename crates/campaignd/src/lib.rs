@@ -11,8 +11,8 @@
 //! The [`CampaignServer`] validates each submission against its own
 //! derivation (404 unknown, 409 fingerprint mismatch, 503 queue
 //! overflow), queues it FIFO, fans the flattened grid out to the
-//! workers with the exact `runner::chunk_bounds` math every executor
-//! shares, and streams back one `"SHRS"`…`"SHRE"` result stream —
+//! workers through the same `shard` coordinator the pipe executor uses,
+//! and streams back one `"SHRS"`…`"SHRE"` result stream —
 //! byte-identical to [`its_testbed::campaign::Serial`] at any worker
 //! count, under any concurrency, with any number of worker deaths.
 //!
@@ -22,8 +22,9 @@
 //!   registrations.
 //! * [`queue::SubmissionQueue`] — bounded FIFO making concurrent
 //!   submissions execute one at a time, in arrival order.
-//! * [`fanout::SocketFanout`] — the coordinator algorithm of
-//!   `shard::ShardExecutor` over `TcpTransport` links, with the same
+//! * [`fanout::SocketFanout`] — the one `shard` coordinator loop with
+//!   `TcpTransport` links in place of `shard::ShardExecutor`'s pipe
+//!   children: same chunk math, same counters, same
 //!   degraded-never-wrong chunk fallback.
 //! * [`server::CampaignServer`] — the HTTP front door, reusing
 //!   [`openc2x::http::HttpServer`].
@@ -74,7 +75,7 @@ pub mod pool;
 pub mod queue;
 pub mod server;
 
-pub use fanout::{FanoutExecutor, SocketFanout};
+pub use fanout::SocketFanout;
 pub use pool::WorkerPool;
 pub use queue::SubmissionQueue;
 pub use server::{CampaignServer, RunningCampaignServer};

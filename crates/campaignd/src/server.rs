@@ -17,16 +17,17 @@
 //!
 //! Handler threads only validate and enqueue; a single executor thread
 //! drains the FIFO [`SubmissionQueue`] and runs each campaign through
-//! [`SocketFanout`]. One campaign executes at a time, in arrival order,
-//! so concurrent clients get complete, unmixed result streams that are
-//! byte-identical to serial execution at any worker count.
+//! the shared `shard` coordinator ([`SocketFanout`]). One campaign
+//! executes at a time, in arrival order, so concurrent clients get
+//! complete, unmixed result streams that are byte-identical to serial
+//! execution at any worker count.
 
-use crate::fanout::SocketFanout;
 use crate::queue::SubmissionQueue;
 use its_testbed::campaign::{CampaignRegistry, CampaignSpec};
 use its_testbed::submission::{decode_submission, CampaignSubmission};
 use openc2x::http::{HttpServer, Response, RunningServer};
 use shard::protocol::encode_results;
+use shard::{SocketFanout, DEFAULT_CHUNK_TIMEOUT};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -65,7 +66,7 @@ impl CampaignServer {
             registry,
             workers: Vec::new(),
             queue_depth: 32,
-            timeout: Duration::from_secs(120),
+            timeout: DEFAULT_CHUNK_TIMEOUT,
         }
     }
 
@@ -87,7 +88,8 @@ impl CampaignServer {
         self
     }
 
-    /// Sets the per-chunk worker timeout (default 120 s).
+    /// Sets the per-chunk worker timeout (default
+    /// [`DEFAULT_CHUNK_TIMEOUT`]).
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
@@ -219,8 +221,8 @@ impl RunningCampaignServer {
     }
 
     /// Chunks any submission so far re-executed in-process because a
-    /// worker failed — the campaign-server analogue of
-    /// `ShardExecutor::fallback_chunks`, asserted by the worker-kill
+    /// worker failed — summed over every submission's coordinator
+    /// ([`SocketFanout::fallback_chunks`]), asserted by the worker-kill
     /// recovery test.
     pub fn fallback_chunks(&self) -> usize {
         self.stats.fallback_chunks.load(Ordering::Relaxed)

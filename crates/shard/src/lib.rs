@@ -3,27 +3,28 @@
 //!
 //! The in-process thread [`runner::Runner`] parallelises a campaign with
 //! static contiguous chunks merged in index order. This crate extends
-//! the same contract across *processes*, in two layers:
+//! the same contract across *processes*, in three layers:
 //!
 //! * [`protocol`] — every byte of the worker protocol: the `"SHRD"`
 //!   assignment frame, the `"SHRS"`…`"SHRE"` result stream of
-//!   length-prefixed [`RunRecord`] frames ([`its_testbed::wire`]), the
-//!   registry-fingerprint handshake, and the shared chunk math. The
-//!   worker side is one function, [`protocol::serve_stream`], over
-//!   generic `Read`/`Write`.
+//!   length-prefixed [`RunRecord`](its_testbed::RunRecord) frames
+//!   ([`its_testbed::wire`]), the registry-fingerprint handshake, and
+//!   the shared chunk math. The worker side is one function,
+//!   [`protocol::serve_stream`], over generic `Read`/`Write`.
 //! * [`transport`] — what carries those bytes: the
 //!   [`transport::FrameTransport`] trait with the child-process
 //!   [`transport::PipeTransport`] (re-exec with `--shard-worker`,
 //!   stdin/stdout pipes) and the socket [`transport::TcpTransport`]
 //!   (used by the `campaignd` campaign server and its `--shard-listen`
 //!   socket workers).
-//!
-//! [`ShardExecutor`] is the coordinator: it assigns each worker a
-//! contiguous seed-index chunk computed with the very same
-//! [`runner::chunk_bounds`] math and merges chunks in worker order.
-//! Because jobs are pure functions of their index and the chunk/merge
-//! math is shared, shard-mode aggregates are **bitwise identical** to
-//! serial and to the thread runner at every worker count, including 1.
+//! * [`coordinator`] — the one fan-out loop over either transport:
+//!   [`ShardExecutor`] opens pipe links, [`SocketFanout`] socket links.
+//!   It assigns each worker a contiguous seed-index chunk computed with
+//!   the very same [`runner::chunk_bounds`] math and merges chunks in
+//!   worker order. Because jobs are pure functions of their index and
+//!   the chunk/merge math is shared, sharded aggregates are **bitwise
+//!   identical** to serial and to the thread runner at every worker
+//!   count, including 1.
 //!
 //! # How a campaign crosses the process boundary
 //!
@@ -44,7 +45,7 @@
 //! an unparseable / wrong-length result stream has its chunk
 //! deterministically re-executed in-process by the coordinator. The
 //! merged output is therefore identical whether every worker succeeded
-//! or every worker was killed — [`ShardExecutor::fallback_chunks`]
+//! or every worker was killed — [`Coordinator::fallback_chunks`]
 //! reports how many chunks took the fallback path so tests can assert
 //! the recovery actually happened.
 //!
@@ -74,18 +75,13 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
+pub mod coordinator;
 pub mod protocol;
 pub mod transport;
 
-use its_testbed::campaign::{grid_fingerprint, CampaignSpec, Executor};
-use its_testbed::RunRecord;
-use protocol::{
-    encode_assignment, flat_job, grid_offsets, serve_stream, Assignment, ServeOutcome, FLAT_GRID,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
-use transport::{collect_chunk, ChunkFailure, FrameTransport, PipeTransport};
+use protocol::{serve_stream, ServeOutcome};
 
+pub use coordinator::{Coordinator, ShardExecutor, SocketFanout, DEFAULT_CHUNK_TIMEOUT};
 pub use its_testbed::campaign::CampaignRegistry;
 
 /// The hidden argv flag that switches a re-exec'd binary into worker
@@ -101,7 +97,7 @@ pub const KILL_ENV: &str = "SHARD_INJECT_KILL";
 /// Fault-injection environment variable: a comma-separated list of
 /// worker indices that must hang forever after reading their
 /// assignment, never writing a byte. Exercises the coordinator's
-/// result-timeout path ([`ShardExecutor::timed_out_chunks`]): the hung
+/// result-timeout path ([`Coordinator::timed_out_chunks`]): the hung
 /// child is killed and its chunk re-executed in-process.
 pub const HANG_ENV: &str = "SHARD_INJECT_HANG";
 
@@ -187,196 +183,10 @@ fn run_worker(registry: &CampaignRegistry) -> Result<ServeOutcome, ShardError> {
     serve_stream(&mut stdin.lock(), &mut stdout.lock(), registry)
 }
 
-/// The multi-process campaign executor (coordinator side).
-///
-/// Bound to one named campaign of a [`CampaignRegistry`]: `execute` /
-/// `execute_grid` shard the campaign across `workers` re-exec'd
-/// processes when the requested specs match the registered ones, and
-/// re-execute any failed chunk in-process. See the crate docs for the
-/// protocol and the determinism argument.
-#[derive(Debug)]
-pub struct ShardExecutor {
-    workers: usize,
-    campaign: String,
-    grid: Vec<CampaignSpec>,
-    grid_fp: u64,
-    timeout: Duration,
-    fallback_chunks: AtomicUsize,
-    timed_out_chunks: AtomicUsize,
-}
-
-impl ShardExecutor {
-    /// An executor sharding the registry's `campaign` across `workers`
-    /// processes (clamped to at least 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::UnknownCampaign`] when the registry does
-    /// not know `campaign`.
-    pub fn new(
-        workers: usize,
-        campaign: &str,
-        registry: &CampaignRegistry,
-    ) -> Result<Self, ShardError> {
-        let grid = registry
-            .derive(campaign)
-            .ok_or_else(|| ShardError::UnknownCampaign(campaign.to_owned()))?;
-        let grid_fp = grid_fingerprint(&grid);
-        Ok(Self {
-            workers: workers.max(1),
-            campaign: campaign.to_owned(),
-            grid,
-            grid_fp,
-            timeout: Duration::from_secs(120),
-            fallback_chunks: AtomicUsize::new(0),
-            timed_out_chunks: AtomicUsize::new(0),
-        })
-    }
-
-    /// Replaces the per-worker result timeout (default 120 s). A worker
-    /// that exceeds it is killed and its chunk re-executed in-process.
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// The configured worker-process count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// How many chunks have been re-executed in-process because a worker
-    /// failed, timed out, or refused the assignment. Zero on the happy
-    /// path; the kill-injection tests assert it is non-zero after a
-    /// recovery.
-    pub fn fallback_chunks(&self) -> usize {
-        self.fallback_chunks.load(Ordering::Relaxed)
-    }
-
-    /// How many of the [`Self::fallback_chunks`] were caused by the
-    /// per-worker result timeout specifically (a hung or wedged worker
-    /// that was killed). The hang-injection test asserts this is the
-    /// failure class actually exercised.
-    pub fn timed_out_chunks(&self) -> usize {
-        self.timed_out_chunks.load(Ordering::Relaxed)
-    }
-
-    /// Shards `jobs` flat indices across the worker processes and merges
-    /// the chunks in worker order. `spec_index` selects a single spec of
-    /// the campaign grid or, as [`protocol::FLAT_GRID`], the row-major
-    /// flattened grid. Chunks whose worker fails are re-derived
-    /// in-process with `rerun` — identical bytes, by purity of the jobs.
-    fn run_sharded(
-        &self,
-        spec_index: u32,
-        jobs: usize,
-        rerun: &dyn Fn(usize, usize) -> Vec<RunRecord>,
-    ) -> Vec<RunRecord> {
-        if jobs == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(jobs);
-        let exe = std::env::current_exe().ok();
-        let chunks: Vec<(usize, usize)> = (0..workers)
-            .map(|w| runner::chunk_bounds(jobs, workers, w))
-            .collect();
-
-        // Assign every worker its chunk up front — each PipeTransport
-        // starts its stdout reader at send_frame, so workers compute
-        // concurrently while we collect in chunk order below.
-        let links: Vec<Option<PipeTransport>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(w, &(lo, hi))| {
-                let exe = exe.as_ref()?;
-                let mut link = PipeTransport::spawn(exe).ok()?;
-                let frame = encode_assignment(&Assignment {
-                    worker_index: w as u32,
-                    campaign: self.campaign.clone(),
-                    grid_fp: self.grid_fp,
-                    spec_index,
-                    lo: lo as u64,
-                    hi: hi as u64,
-                });
-                link.send_frame(&frame).ok()?;
-                Some(link)
-            })
-            .collect();
-
-        let mut out = Vec::with_capacity(jobs);
-        for (link, &(lo, hi)) in links.into_iter().zip(&chunks) {
-            let collected = match link {
-                Some(mut link) => collect_chunk(&mut link, hi - lo, self.timeout),
-                None => Err(ChunkFailure::Failed("worker failed to spawn".into())),
-            };
-            match collected {
-                Ok(records) => out.extend(records),
-                Err(failure) => {
-                    if failure == ChunkFailure::TimedOut {
-                        self.timed_out_chunks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.fallback_chunks.fetch_add(1, Ordering::Relaxed);
-                    out.extend(rerun(lo, hi));
-                }
-            }
-        }
-        out
-    }
-
-    /// Position of `spec` in the bound campaign grid, by fingerprint.
-    fn position_of(&self, spec: &CampaignSpec) -> Option<u32> {
-        let fp = spec.fingerprint();
-        self.grid
-            .iter()
-            .position(|s| s.fingerprint() == fp)
-            .map(|k| k as u32)
-    }
-}
-
-impl Executor for ShardExecutor {
-    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord> {
-        match self.position_of(spec) {
-            Some(index) => self.run_sharded(index, spec.runs, &|lo, hi| {
-                (lo..hi).map(|i| spec.run_job(i)).collect()
-            }),
-            None => {
-                // The spec is not part of the bound campaign: workers
-                // could not re-derive it, so run it locally. Degraded,
-                // never wrong.
-                self.fallback_chunks.fetch_add(1, Ordering::Relaxed);
-                (0..spec.runs).map(|i| spec.run_job(i)).collect()
-            }
-        }
-    }
-
-    fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        let flat = if grid_fingerprint(specs) == self.grid_fp {
-            let offsets = grid_offsets(specs);
-            let total = *offsets.last().unwrap_or(&0);
-            self.run_sharded(FLAT_GRID, total, &|lo, hi| {
-                (lo..hi).map(|j| flat_job(specs, &offsets, j)).collect()
-            })
-        } else {
-            // Not the registered grid: every chunk would be refused, so
-            // go straight to local execution.
-            self.fallback_chunks.fetch_add(1, Ordering::Relaxed);
-            let offsets = grid_offsets(specs);
-            (0..*offsets.last().unwrap_or(&0))
-                .map(|j| flat_job(specs, &offsets, j))
-                .collect()
-        };
-        let mut records = flat.into_iter();
-        specs
-            .iter()
-            .map(|spec| records.by_ref().take(spec.runs).collect())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use its_testbed::campaign::CampaignSpec;
     use its_testbed::ScenarioConfig;
 
     fn demo_grid() -> Vec<CampaignSpec> {
@@ -399,7 +209,7 @@ mod tests {
         ]
     }
 
-    fn registry() -> CampaignRegistry {
+    pub(crate) fn registry() -> CampaignRegistry {
         CampaignRegistry::new().register("demo", demo_grid)
     }
 

@@ -183,30 +183,6 @@ pub fn decode_result_stream(bytes: &[u8]) -> Result<Vec<RunRecord>, ShardError> 
     Ok(records)
 }
 
-/// Exclusive prefix sums of the grid's run counts; the last element is
-/// the flat job total. Shared by coordinator and worker so flat indices
-/// mean the same thing on both sides.
-pub fn grid_offsets(grid: &[CampaignSpec]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(grid.len() + 1);
-    let mut total = 0usize;
-    for spec in grid {
-        offsets.push(total);
-        total += spec.runs;
-    }
-    offsets.push(total);
-    offsets
-}
-
-/// Runs flat job `j` of the grid: row-major, spec-major / run-minor —
-/// the same flattening `Runner::execute_grid` uses.
-pub fn flat_job(grid: &[CampaignSpec], offsets: &[usize], j: usize) -> RunRecord {
-    let k = match offsets.binary_search(&j) {
-        Ok(k) => k,
-        Err(k) => k - 1,
-    };
-    grid[k].run_job(j - offsets[k])
-}
-
 /// Executes one chunk of the campaign in-process: the worker's compute
 /// step, and the coordinator's deterministic fallback when a worker
 /// fails — identical bytes either way, by purity of the jobs.
@@ -222,14 +198,23 @@ pub fn compute_chunk(
     hi: usize,
 ) -> Result<Vec<RunRecord>, ShardError> {
     if spec_index == FLAT_GRID {
-        let offsets = grid_offsets(grid);
-        let total = *offsets.last().unwrap_or(&0);
+        let total: usize = grid.iter().map(|spec| spec.runs).sum();
         if hi > total {
             return Err(ShardError::Protocol(format!(
                 "chunk {lo}..{hi} exceeds {total} flat jobs"
             )));
         }
-        Ok((lo..hi).map(|j| flat_job(grid, &offsets, j)).collect())
+        // Row-major, spec-major / run-minor — the same flattening
+        // `Runner::execute_grid` uses: flat job `j` of the spec starting
+        // at flat index `start` is its run `j - start`.
+        let mut records = Vec::with_capacity(hi.saturating_sub(lo));
+        let mut start = 0;
+        for spec in grid {
+            let end = start + spec.runs;
+            records.extend((lo.max(start)..hi.min(end)).map(|j| spec.run_job(j - start)));
+            start = end;
+        }
+        Ok(records)
     } else {
         let spec = grid
             .get(spec_index as usize)
@@ -431,13 +416,19 @@ mod tests {
     #[test]
     fn flat_jobs_match_per_spec_jobs() {
         let grid = demo_grid();
-        let offsets = grid_offsets(&grid);
-        assert_eq!(offsets, vec![0, 3, 5]);
-        for (k, spec) in grid.iter().enumerate() {
-            for i in 0..spec.runs {
-                let flat = flat_job(&grid, &offsets, offsets[k] + i);
-                assert_eq!(flat, spec.run_job(i), "spec {k} run {i}");
-            }
+        let per_spec: Vec<RunRecord> = grid
+            .iter()
+            .flat_map(|spec| (0..spec.runs).map(|i| spec.run_job(i)))
+            .collect();
+        assert_eq!(per_spec.len(), 5);
+        assert_eq!(compute_chunk(&grid, FLAT_GRID, 0, 5).unwrap(), per_spec);
+        // Chunks straddling the spec boundary (3) slice the same order.
+        for (lo, hi) in [(0, 2), (2, 4), (3, 5), (4, 4)] {
+            assert_eq!(
+                compute_chunk(&grid, FLAT_GRID, lo, hi).unwrap(),
+                per_spec[lo..hi],
+                "chunk {lo}..{hi}"
+            );
         }
     }
 

@@ -109,8 +109,8 @@ pub enum ChunkFailure {
 }
 
 /// Collects and decodes one chunk from a worker link: the coordinator's
-/// per-chunk protocol step, shared by the pipe executor and the
-/// campaign server's socket fan-out.
+/// per-chunk protocol step, shared by pipe and socket links
+/// ([`crate::coordinator`]).
 ///
 /// # Errors
 ///
@@ -411,7 +411,7 @@ pub fn socket_worker_main_if_requested(registry: &CampaignRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{compute_chunk, encode_assignment, grid_offsets, Assignment, FLAT_GRID};
+    use crate::protocol::{compute_chunk, encode_assignment, Assignment, FLAT_GRID};
     use its_testbed::campaign::{grid_fingerprint, CampaignSpec};
     use its_testbed::ScenarioConfig;
 
@@ -465,7 +465,7 @@ mod tests {
     fn tcp_worker_serves_consecutive_connections() {
         let addr = spawn_worker_thread();
         let grid = demo_grid();
-        let total = *grid_offsets(&grid).last().unwrap();
+        let total: usize = grid.iter().map(|spec| spec.runs).sum();
         for lo in 0..total as u64 {
             let mut link = TcpTransport::connect(addr).expect("connect");
             link.send_frame(&encode_assignment(&assignment(lo, lo + 1)))

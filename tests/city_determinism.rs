@@ -1,6 +1,6 @@
 //! The city node-count campaign must be byte-identical however it is
 //! executed: serial in-process, the deterministic thread pool, or the
-//! multi-process shard coordinator.
+//! multi-process coordinator over pipe or socket workers.
 //!
 //! City jobs are not scenario runs, so every executor reaches them
 //! through [`Executor::run_indexed`]'s in-process path — which is
@@ -10,8 +10,11 @@
 use its_testbed::campaign::{CampaignSpec, Serial};
 use its_testbed::city::{sweep_city, sweep_city_records, CityConfig};
 use its_testbed::{Runner, ScenarioConfig};
-use shard::{CampaignRegistry, ShardExecutor};
+use shard::CampaignRegistry;
 use sim_core::SimDuration;
+
+#[path = "support/executors.rs"]
+mod executors;
 
 const COUNTS: [usize; 3] = [40, 70, 100];
 
@@ -22,7 +25,7 @@ fn base() -> CityConfig {
     }
 }
 
-/// A registry entry so the shard executor can be constructed; city jobs
+/// A registry entry so the coordinators can be constructed; city jobs
 /// run through `run_indexed`, not through this grid.
 fn city_anchor_grid() -> Vec<CampaignSpec> {
     vec![CampaignSpec::new(ScenarioConfig::default(), 4)]
@@ -34,32 +37,19 @@ fn city_campaign_is_byte_identical_across_executors() {
     let serial_table = sweep_city(&Serial, &base(), &COUNTS);
     let serial_records = sweep_city_records(&Serial, &base(), &COUNTS);
 
-    for threads in [2, 8] {
-        let runner = Runner::new(threads);
+    let mut execs = executors::matrix(&registry, "city_anchor", &[2, 4]);
+    execs.push(executors::Exec::Runner(Runner::new(2)));
+    for exec in execs {
+        let name = exec.name();
         assert_eq!(
-            sweep_city(&runner, &base(), &COUNTS),
+            sweep_city(&exec, &base(), &COUNTS),
             serial_table,
-            "{threads}-thread runner table diverged"
+            "{name} table diverged"
         );
         assert_eq!(
-            sweep_city_records(&runner, &base(), &COUNTS),
+            sweep_city_records(&exec, &base(), &COUNTS),
             serial_records,
-            "{threads}-thread runner records diverged"
-        );
-    }
-
-    for workers in [2, 4] {
-        let shard = ShardExecutor::new(workers, "city_anchor", &registry)
-            .expect("anchor campaign registered");
-        assert_eq!(
-            sweep_city(&shard, &base(), &COUNTS),
-            serial_table,
-            "{workers}-worker shard table diverged"
-        );
-        assert_eq!(
-            sweep_city_records(&shard, &base(), &COUNTS),
-            serial_records,
-            "{workers}-worker shard records diverged"
+            "{name} records diverged"
         );
     }
 }

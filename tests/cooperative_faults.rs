@@ -1,31 +1,30 @@
 //! The cooperative fault sweep (platoon + intersection under
 //! node-targeted fault campaigns, DESIGN.md §15) must be byte-identical
 //! however it is executed: serial in-process, the deterministic thread
-//! pool, the multi-process shard coordinator, and the campaign server's
-//! socket-worker executor.
+//! pool, and the multi-process coordinator over pipe or socket workers
+//! (the shared matrix in `support/executors.rs`).
 //!
 //! Sweep jobs are not plain scenario-spec runs, so every executor
 //! reaches them through [`Executor::run_indexed`]'s in-process path —
-//! the same contract the city campaign pins — while the socket-backed
-//! [`FanoutExecutor`] additionally proves its spec-grid path merges
+//! the same contract the city campaign pins — while the socket-worker
+//! executor additionally proves its spec-grid path merges
 //! byte-identically to [`Serial`] over live TCP workers.
 
-use campaignd::FanoutExecutor;
 use facilities::cpm::CpServiceConfig;
 use its_testbed::campaign::{CampaignRegistry, CampaignSpec, Executor, Serial};
 use its_testbed::coopsweep::{coop_sweep, coop_sweep_frames};
 use its_testbed::faultsweep::INTENSITIES;
 use its_testbed::intersection::{IntersectionConfig, IntersectionScenario, SecondHazard};
-use its_testbed::{Runner, ScenarioConfig};
-use shard::transport::serve_connections;
-use shard::ShardExecutor;
-use std::net::{SocketAddr, TcpListener};
+use its_testbed::ScenarioConfig;
+
+#[path = "support/executors.rs"]
+mod executors;
 
 const BASE_SEED: u64 = 4100;
 const RUNS: usize = 1;
 
-/// A registry entry so the socket-backed executors can be constructed;
-/// coop-sweep jobs run through `run_indexed`, not through this grid.
+/// A registry entry so the coordinators can be constructed; coop-sweep
+/// jobs run through `run_indexed`, not through this grid.
 fn anchor_grid() -> Vec<CampaignSpec> {
     vec![CampaignSpec::new(
         ScenarioConfig {
@@ -36,64 +35,38 @@ fn anchor_grid() -> Vec<CampaignSpec> {
     )]
 }
 
-/// An in-process socket worker thread serving the anchor registry.
-fn spawn_worker() -> SocketAddr {
-    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind worker");
-    let addr = listener.local_addr().expect("worker addr");
-    std::thread::spawn(move || {
-        let registry = CampaignRegistry::new().register("coop_anchor", anchor_grid);
-        serve_connections(&listener, &registry);
-    });
-    addr
-}
-
 #[test]
 fn coop_sweep_is_byte_identical_across_executors() {
     let serial_frames = coop_sweep_frames(&Serial, BASE_SEED, RUNS);
     let serial_fp = coop_sweep(&Serial, BASE_SEED, RUNS).fingerprint();
     assert!(!serial_frames.is_empty());
 
-    // Deterministic thread pool.
-    let runner = Runner::new(8);
-    assert_eq!(
-        coop_sweep_frames(&runner, BASE_SEED, RUNS),
-        serial_frames,
-        "8-thread runner frames diverged"
-    );
-    assert_eq!(
-        coop_sweep(&runner, BASE_SEED, RUNS).fingerprint(),
-        serial_fp
-    );
-
-    // Multi-process shard coordinator (run_indexed stays in-process).
     let registry = CampaignRegistry::new().register("coop_anchor", anchor_grid);
-    let shard = ShardExecutor::new(4, "coop_anchor", &registry).expect("anchor registered");
-    assert_eq!(
-        coop_sweep_frames(&shard, BASE_SEED, RUNS),
-        serial_frames,
-        "4-worker shard frames diverged"
-    );
-    assert_eq!(coop_sweep(&shard, BASE_SEED, RUNS).fingerprint(), serial_fp);
-
-    // Campaign server's socket-worker executor, with live TCP workers.
-    let workers: Vec<SocketAddr> = (0..2).map(|_| spawn_worker()).collect();
-    let fanout = FanoutExecutor::new("coop_anchor", anchor_grid(), workers);
-    assert_eq!(
-        coop_sweep_frames(&fanout, BASE_SEED, RUNS),
-        serial_frames,
-        "socket-worker fanout frames diverged"
-    );
-    assert_eq!(
-        coop_sweep(&fanout, BASE_SEED, RUNS).fingerprint(),
-        serial_fp
-    );
-    // And its spec-grid path really does cross the sockets for the
-    // campaign it is bound to: identical bytes, no local fallback.
-    assert_eq!(
-        fanout.execute_grid(&anchor_grid()),
-        Serial.execute_grid(&anchor_grid())
-    );
-    assert_eq!(fanout.fallback_grids(), 0);
+    for exec in executors::matrix(&registry, "coop_anchor", &[2, 4]) {
+        let name = exec.name();
+        assert_eq!(
+            coop_sweep_frames(&exec, BASE_SEED, RUNS),
+            serial_frames,
+            "{name} frames diverged"
+        );
+        assert_eq!(
+            coop_sweep(&exec, BASE_SEED, RUNS).fingerprint(),
+            serial_fp,
+            "{name} fingerprint diverged"
+        );
+        // The socket executor's spec-grid path really does cross the
+        // sockets for the campaign it is bound to: identical bytes, no
+        // local fallback. (Pipe workers would re-exec this libtest
+        // binary, which has no worker mode.)
+        if let executors::Exec::Sockets(_) = exec {
+            assert_eq!(
+                exec.execute_grid(&anchor_grid()),
+                Serial.execute_grid(&anchor_grid()),
+                "{name} spec grid diverged"
+            );
+            assert_eq!(exec.fallback_chunks(), 0, "{name} fell back");
+        }
+    }
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Tier-1 regression test for the multi-process shard executor
 //! (DESIGN.md §10): table2, table3 and the fault-sweep campaign
 //! (DESIGN.md §11) produce **byte-identical** output across serial
-//! execution, an 8-thread in-process runner, and 1/2/4-worker shards —
-//! and stay identical when workers are killed mid-protocol or hang
-//! until the coordinator's result timeout reaps them.
+//! execution, an 8-thread in-process runner, and 1/2/4 pipe and socket
+//! workers (the shared matrix in `support/executors.rs`) — and stay
+//! identical when workers are killed mid-protocol or hang until the
+//! coordinator's result timeout reaps them.
 //!
 //! `harness = false`: the coordinator re-execs this very binary as its
 //! workers, so `main` must dispatch `--shard-worker` before anything
@@ -13,9 +14,11 @@ use its_testbed::campaign::CampaignSpec;
 use its_testbed::experiments::{table2, table3};
 use its_testbed::faultsweep::{fault_sweep, fault_sweep_specs};
 use its_testbed::scenario::ScenarioConfig;
-use its_testbed::Runner;
-use shard::{CampaignRegistry, ShardExecutor, HANG_ENV, KILL_ENV};
+use shard::{CampaignRegistry, HANG_ENV, KILL_ENV};
 use std::time::Duration;
+
+#[path = "support/executors.rs"]
+mod executors;
 
 /// Runs per campaign: enough that 4 workers each get a multi-run chunk.
 const RUNS: usize = 24;
@@ -60,12 +63,6 @@ fn registry() -> CampaignRegistry {
         .register("faultsweep", faultsweep_grid)
 }
 
-fn sharded(workers: usize, campaign: &str) -> ShardExecutor {
-    ShardExecutor::new(workers, campaign, &registry())
-        .expect("campaign is registered")
-        .with_timeout(Duration::from_secs(300))
-}
-
 fn braking_bits(t: &its_testbed::experiments::Table3) -> Vec<u64> {
     t.braking_m.iter().map(|b| b.to_bits()).collect()
 }
@@ -90,42 +87,31 @@ fn main() {
     let t2_serial = table2(&its_testbed::Serial, &base(), RUNS).render();
     let t3_serial = braking_bits(&table3(&its_testbed::Serial, &base(), RUNS));
 
-    // In-process thread pool at 8 workers (oversubscription is fine).
-    let threaded = Runner::new(8);
-    check(
-        "table2: 8-thread runner matches serial",
-        table2(&threaded, &base(), RUNS).render() == t2_serial,
-        &mut failures,
-    );
-    check(
-        "table3: 8-thread runner matches serial (bitwise)",
-        braking_bits(&table3(&threaded, &base(), RUNS)) == t3_serial,
-        &mut failures,
-    );
-
-    // Shard executor at 1 and at 4 worker processes: byte-identical, and
-    // no chunk may have taken the in-process fallback path.
-    for workers in [1usize, 4] {
-        let exec = sharded(workers, "table2");
+    // Every executor of the matrix — the 8-thread runner, and pipe and
+    // socket workers at 1 and 4 — must be byte-identical, and no chunk
+    // may have taken the in-process fallback path.
+    for exec in executors::matrix(&registry, "table2", &[1, 4]) {
+        let name = exec.name();
         check(
-            &format!("table2: {workers}-worker shard matches serial"),
+            &format!("table2: {name} matches serial"),
             table2(&exec, &base(), RUNS).render() == t2_serial,
             &mut failures,
         );
         check(
-            &format!("table2: {workers}-worker shard took no fallback"),
+            &format!("table2: {name} took no fallback"),
             exec.fallback_chunks() == 0,
             &mut failures,
         );
-
-        let exec = sharded(workers, "table3");
+    }
+    for exec in executors::matrix(&registry, "table3", &[1, 4]) {
+        let name = exec.name();
         check(
-            &format!("table3: {workers}-worker shard matches serial (bitwise)"),
+            &format!("table3: {name} matches serial (bitwise)"),
             braking_bits(&table3(&exec, &base(), RUNS)) == t3_serial,
             &mut failures,
         );
         check(
-            &format!("table3: {workers}-worker shard took no fallback"),
+            &format!("table3: {name} took no fallback"),
             exec.fallback_chunks() == 0,
             &mut failures,
         );
@@ -134,31 +120,36 @@ fn main() {
     // Kill injection: workers 0 and 2 of 4 die mid-protocol (magic
     // written, records missing). The coordinator must detect both
     // truncations, re-run those chunks in-process, and still merge to
-    // the exact serial bytes. Children inherit the environment, so
-    // setting the variable here reaches the re-exec'd workers.
+    // the exact serial bytes. Pipe children inherit the environment and
+    // socket worker threads share it, so setting the variable here
+    // reaches both.
     std::env::set_var(KILL_ENV, "0,2");
-    let exec = sharded(4, "table2");
-    check(
-        "table2: 4-worker shard with killed workers 0,2 matches serial",
-        table2(&exec, &base(), RUNS).render() == t2_serial,
-        &mut failures,
-    );
-    check(
-        "table2: kill injection actually exercised the fallback",
-        exec.fallback_chunks() == 2,
-        &mut failures,
-    );
-    let exec = sharded(4, "table3");
-    check(
-        "table3: 4-worker shard with killed workers 0,2 matches serial",
-        braking_bits(&table3(&exec, &base(), RUNS)) == t3_serial,
-        &mut failures,
-    );
-    check(
-        "table3: kill injection actually exercised the fallback",
-        exec.fallback_chunks() == 2,
-        &mut failures,
-    );
+    for exec in executors::remote(&registry, "table2", 4) {
+        let name = exec.name();
+        check(
+            &format!("table2: {name} with killed workers 0,2 matches serial"),
+            table2(&exec, &base(), RUNS).render() == t2_serial,
+            &mut failures,
+        );
+        check(
+            &format!("table2: {name} kill injection actually exercised the fallback"),
+            exec.fallback_chunks() == 2,
+            &mut failures,
+        );
+    }
+    for exec in executors::remote(&registry, "table3", 4) {
+        let name = exec.name();
+        check(
+            &format!("table3: {name} with killed workers 0,2 matches serial"),
+            braking_bits(&table3(&exec, &base(), RUNS)) == t3_serial,
+            &mut failures,
+        );
+        check(
+            &format!("table3: {name} kill injection actually exercised the fallback"),
+            exec.fallback_chunks() == 2,
+            &mut failures,
+        );
+    }
     std::env::remove_var(KILL_ENV);
 
     // Hang injection: worker 1 of 4 reads its assignment and then never
@@ -166,38 +157,36 @@ fn main() {
     // count the chunk as timed out, re-run it in-process, and still
     // merge to the exact serial bytes.
     std::env::set_var(HANG_ENV, "1");
-    let exec = sharded(4, "table2").with_timeout(Duration::from_secs(5));
-    check(
-        "table2: 4-worker shard with hung worker 1 matches serial",
-        table2(&exec, &base(), RUNS).render() == t2_serial,
-        &mut failures,
-    );
-    check(
-        "table2: hang injection tripped the worker timeout",
-        exec.timed_out_chunks() == 1 && exec.fallback_chunks() == 1,
-        &mut failures,
-    );
+    for exec in executors::remote(&registry, "table2", 4) {
+        let exec = exec.with_timeout(Duration::from_secs(5));
+        let name = exec.name();
+        check(
+            &format!("table2: {name} with hung worker 1 matches serial"),
+            table2(&exec, &base(), RUNS).render() == t2_serial,
+            &mut failures,
+        );
+        check(
+            &format!("table2: {name} hang injection tripped the worker timeout"),
+            exec.timed_out_chunks() == 1 && exec.fallback_chunks() == 1,
+            &mut failures,
+        );
+    }
     std::env::remove_var(HANG_ENV);
 
     // Fault-sweep campaign (DESIGN.md §11): the 18-cell fault grid with
     // the watchdog enabled must aggregate to byte-identical tables on
     // every executor — the acceptance bar for the fault-injection plane.
     let fs_serial = fault_sweep(&its_testbed::Serial, &fs_base(), FS_RUNS);
-    check(
-        "faultsweep: 8-thread runner matches serial",
-        fault_sweep(&Runner::new(8), &fs_base(), FS_RUNS) == fs_serial,
-        &mut failures,
-    );
-    for workers in [2usize, 4] {
-        let exec = sharded(workers, "faultsweep");
-        let sharded_sweep = fault_sweep(&exec, &fs_base(), FS_RUNS);
+    for exec in executors::matrix(&registry, "faultsweep", &[2, 4]) {
+        let name = exec.name();
+        let sweep = fault_sweep(&exec, &fs_base(), FS_RUNS);
         check(
-            &format!("faultsweep: {workers}-worker shard matches serial"),
-            sharded_sweep == fs_serial && sharded_sweep.fingerprint() == fs_serial.fingerprint(),
+            &format!("faultsweep: {name} matches serial"),
+            sweep == fs_serial && sweep.fingerprint() == fs_serial.fingerprint(),
             &mut failures,
         );
         check(
-            &format!("faultsweep: {workers}-worker shard took no fallback"),
+            &format!("faultsweep: {name} took no fallback"),
             exec.fallback_chunks() == 0,
             &mut failures,
         );
