@@ -14,11 +14,18 @@
 //!    subsampling into a (ρ, θ) accumulator, as in Matas et al.),
 //! 4. [`LineFollower::steering`] — converts the strongest line into a
 //!    lateral error and runs it through the PID.
+//!
+//! A [`Frame`] is stored as bit rows (`width.div_ceil(64)` `u64` words
+//! per row, padding bits clear), so the raster fills runs of columns
+//! with word masks and edge detection compares 64 neighbouring pixels
+//! per word operation. Every stage reproduces, bit for bit, a plain
+//! per-pixel reference kept in the test module.
 
 use crate::dynamics::BicycleState;
 use crate::pid::Pid;
 use sim_core::SimRng;
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::sync::{Mutex, PoisonError};
 
 /// Ground-truth track: a polyline of the tape line on the floor.
@@ -115,14 +122,28 @@ fn segment_distance(a: (f64, f64), b: (f64, f64), p: (f64, f64)) -> f64 {
 }
 
 /// A binary camera frame (bird's-eye projection of the floor ahead).
+///
+/// Pixels are stored as bit rows: each row is `width.div_ceil(64)`
+/// `u64` words, column `c` is bit `c % 64` of word `c / 64`, and the
+/// bits past `width` in a row's last word are always clear (so frames
+/// compare equal exactly when their pixels do).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     width: usize,
     height: usize,
-    pixels: Vec<bool>,
+    bits: Vec<u64>,
 }
 
 impl Frame {
+    /// An empty frame; [`CameraModel::capture_into`] sizes it.
+    fn empty(bits: Vec<u64>) -> Self {
+        Self {
+            width: 0,
+            height: 0,
+            bits,
+        }
+    }
+
     /// Frame width in pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -133,15 +154,53 @@ impl Frame {
         self.height
     }
 
+    fn words_per_row(&self) -> usize {
+        self.width.div_ceil(64)
+    }
+
+    /// Resizes to `width × height` with every pixel dark.
+    fn clear(&mut self, width: usize, height: usize) {
+        self.width = width;
+        self.height = height;
+        self.bits.clear();
+        self.bits.resize(self.words_per_row() * height, 0);
+    }
+
     /// Pixel at `(row, col)`; row 0 is the far edge of the view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= height` or `col >= width`.
     pub fn get(&self, row: usize, col: usize) -> bool {
-        self.pixels[row * self.width + col]
+        assert!(
+            row < self.height && col < self.width,
+            "pixel ({row}, {col}) outside a {}×{} frame",
+            self.width,
+            self.height
+        );
+        self.bits[row * self.words_per_row() + col / 64] >> (col % 64) & 1 == 1
+    }
+
+    /// Lights pixels `lo..=hi` of `row` (all in the frame).
+    fn fill(&mut self, row: usize, lo: usize, hi: usize) {
+        debug_assert!(
+            lo <= hi && hi < self.width,
+            "columns {lo}..={hi} of {}",
+            self.width
+        );
+        let start = row * self.words_per_row();
+        for w in lo / 64..=hi / 64 {
+            let from = if w == lo / 64 { lo % 64 } else { 0 };
+            let to = if w == hi / 64 { hi % 64 } else { 63 };
+            // Bits from..=to of the word.
+            self.bits[start + w] |= (u64::MAX >> (63 - to)) & (u64::MAX << from);
+        }
     }
 
     /// Fraction of lit pixels, useful as a "line visible" heuristic.
     pub fn fill_ratio(&self) -> f64 {
-        let lit = self.pixels.iter().filter(|&&p| p).count();
-        lit as f64 / self.pixels.len() as f64
+        let lit: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+        lit as f64 / (self.width * self.height) as f64
     }
 }
 
@@ -183,71 +242,81 @@ impl CameraModel {
 
     /// Renders the track as seen from `pose`.
     pub fn capture(&self, pose: &BicycleState, track: &Track) -> Frame {
-        let mut frame = Frame {
-            width: self.width,
-            height: self.height,
-            pixels: Vec::new(),
-        };
+        let mut frame = Frame::empty(Vec::new());
         self.capture_into(pose, track, &mut frame);
         frame
     }
 
     /// Renders the track as seen from `pose` into an existing frame,
-    /// reusing its pixel buffer. Produces exactly the pixels of the
-    /// naive every-pixel render (pinned bitwise by
-    /// `capture_matches_reference_bitwise`): each image row is one scan
-    /// line across the ground, and a pixel can only be lit where that
-    /// line passes through a track segment's *capsule* (the segment
-    /// dilated by the line half-width). The capsule intersection — with
-    /// a margin nine orders of magnitude above f64 rounding error plus
-    /// a ±1-column guard band — selects candidate columns, and only
-    /// those get the exact `distance_to` test, evaluated with the
-    /// original expressions so every lit pixel is bitwise identical.
-    /// Typical frames test a handful of columns per row instead of all
-    /// of them.
+    /// reusing its bit rows. Produces exactly the pixels of the naive
+    /// every-pixel render (pinned bitwise by
+    /// `capture_matches_reference_bitwise`), where a pixel is lit iff
+    /// `track.distance_to` of its centre is at most half the line width.
+    ///
+    /// Each image row is one scan line across the ground, and a pixel
+    /// can only be lit where that line passes through a track segment's
+    /// *capsule* (the segment dilated by the line half-width). Distance
+    /// to a segment is 1-Lipschitz, so two capsules 1e-7 m either side of
+    /// the half-width — a margin about 10⁸ times the f64 error of the
+    /// span and column arithmetic — settle almost every pixel without
+    /// the exact test: columns whose centres lie in the inner (core)
+    /// span are lit outright, columns outside the outer span stay dark,
+    /// and only the columns between the two spans get the exact
+    /// `distance_to` test, evaluated with the original expressions.
     pub fn capture_into(&self, pose: &BicycleState, track: &Track, frame: &mut Frame) {
-        frame.width = self.width;
-        frame.height = self.height;
-        frame.pixels.clear();
-        frame.pixels.resize(self.width * self.height, false);
+        frame.clear(self.width, self.height);
         let cos_t = pose.theta.cos();
         let sin_t = pose.theta.sin();
         let mpc = self.meters_per_col();
         let half_line = self.line_width_m / 2.0;
-        // Candidate reach: the exact test lights pixels at distance
-        // ≤ half_line; candidates are taken out to half_line + 1e-7 m,
-        // so a boundary pixel the capsule math places up to 100 nm off
-        // (f64 error here is ~1e-15 m) still gets the exact test.
         let reach = half_line + 1e-7;
+        // No core when the line is at most 1e-7 m wide either side.
+        let core = (half_line > 1e-7).then_some(half_line - 1e-7);
         let dir = (-sin_t, cos_t);
+        // Columns whose centres (lateral = -half_width + (col+0.5)·mpc)
+        // lie in the lateral span `[s_lo, s_hi]`, clipped to the frame.
+        let centre_cols = |(s_lo, s_hi): (f64, f64)| {
+            let lo = ((s_lo + self.half_width_m) / mpc - 0.5).max(0.0);
+            let hi = ((s_hi + self.half_width_m) / mpc - 0.5).min(self.width as f64 - 1.0);
+            if lo > hi {
+                return None;
+            }
+            // Both are ≥ 0 here, so `as` truncates to the floor (`ceil`
+            // and `floor` are library calls on baseline x86-64).
+            let c_lo = lo as usize;
+            let c_lo = c_lo + usize::from((c_lo as f64) < lo);
+            let c_hi = hi as usize;
+            (c_lo <= c_hi).then_some((c_lo, c_hi))
+        };
         // Segments outer, rows inner: a pixel is lit iff its exact test
         // passes, whichever segment selected it, so the visiting order
         // cannot change the frame.
         for seg in track.points.windows(2) {
-            let capsule = Capsule::new(seg[0], seg[1], reach);
+            let capsule = Capsule::new(seg[0], seg[1]);
             for row in 0..self.height {
                 // Row 0 = far edge.
                 let ahead = self.far_m
                     - (self.far_m - self.near_m) * (row as f64 + 0.5) / self.height as f64;
                 // The row's scan line in world space: W(s) = base + s·dir
                 // with s the lateral coordinate and dir unit-length.
-                let bx = pose.x + ahead * cos_t;
-                let by = pose.y + ahead * sin_t;
-                let Some((s_lo, s_hi)) = capsule.span((bx, by), dir) else {
+                let base = (pose.x + ahead * cos_t, pose.y + ahead * sin_t);
+                let Some((c_lo, c_hi)) = capsule.span(base, dir, reach).and_then(centre_cols)
+                else {
                     continue;
                 };
-                // Lateral → column (lateral = -half_width + (col+0.5)·mpc),
-                // widened one column each way as the conservative guard.
-                let c_lo = ((s_lo + self.half_width_m) / mpc - 0.5).floor() as i64 - 1;
-                let c_hi = ((s_hi + self.half_width_m) / mpc - 0.5).ceil() as i64 + 1;
-                if c_hi < 0 || c_lo >= self.width as i64 {
-                    continue;
-                }
-                let c_lo = c_lo.max(0) as usize;
-                let c_hi = (c_hi.max(0) as usize).min(self.width - 1);
-                for col in c_lo..=c_hi {
-                    let i = row * self.width + col;
-                    if frame.pixels[i] {
+                // An empty core leaves every candidate to the exact test.
+                let (k_lo, k_hi) = match core
+                    .and_then(|r| capsule.span(base, dir, r))
+                    .and_then(centre_cols)
+                {
+                    Some((k_lo, k_hi)) => {
+                        frame.fill(row, k_lo, k_hi);
+                        (k_lo, k_hi)
+                    }
+                    None => (c_hi + 1, c_hi),
+                };
+                for col in (c_lo..k_lo).chain(k_hi + 1..=c_hi) {
+                    if frame.get(row, col) {
                         continue;
                     }
                     let lateral = -self.half_width_m + (col as f64 + 0.5) * mpc;
@@ -256,7 +325,7 @@ impl CameraModel {
                     let wx = pose.x + ahead * cos_t - lateral * sin_t;
                     let wy = pose.y + ahead * sin_t + lateral * cos_t;
                     if track.distance_to(wx, wy) <= half_line {
-                        frame.pixels[i] = true;
+                        frame.fill(row, col, col);
                     }
                 }
             }
@@ -264,35 +333,32 @@ impl CameraModel {
     }
 }
 
-/// A track segment `ab` dilated by radius `r`, with its length and unit
-/// axis worked out once per capture rather than once per scan line.
+/// A track segment `ab`, with its length and unit axis worked out once
+/// per capture rather than once per scan line.
 struct Capsule {
     a: (f64, f64),
     b: (f64, f64),
-    r: f64,
     /// Unit vector from `a` to `b` and the segment length; `None` for a
     /// degenerate (zero-length) segment, which is just a disc.
     axis: Option<((f64, f64), f64)>,
 }
 
 impl Capsule {
-    fn new(a: (f64, f64), b: (f64, f64), r: f64) -> Self {
+    fn new(a: (f64, f64), b: (f64, f64)) -> Self {
         let abx = b.0 - a.0;
         let aby = b.1 - a.1;
         let len = (abx * abx + aby * aby).sqrt();
         let axis = (len > 0.0).then(|| ((abx / len, aby / len), len));
-        Self { a, b, r, axis }
+        Self { a, b, axis }
     }
 
     /// Intersects the scan line `base + s·dir` (`dir` unit-length) with
-    /// the capsule, returning the `s`-span of the intersection (a single
-    /// interval — capsules are convex) or `None` when the line misses it
-    /// entirely. Used only to *select candidate pixels* in
-    /// [`CameraModel::capture_into`]; the margin built into `r` plus the
-    /// caller's column guard band make any rounding here inconsequential
-    /// for the rendered bits.
-    fn span(&self, base: (f64, f64), dir: (f64, f64)) -> Option<(f64, f64)> {
-        let r = self.r;
+    /// the segment dilated by radius `r`, returning the `s`-span of the
+    /// intersection (a single interval — capsules are convex) or `None`
+    /// when the line misses it entirely. Used only to *classify pixels*
+    /// in [`CameraModel::capture_into`], whose 1e-7 m radius margins make
+    /// any rounding here inconsequential for the rendered bits.
+    fn span(&self, base: (f64, f64), dir: (f64, f64), r: f64) -> Option<(f64, f64)> {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         // End discs: |base + s·dir − p|² ≤ r², i.e. s² + 2·bq·s + c ≤ 0.
@@ -353,18 +419,30 @@ pub fn detect_edges(frame: &Frame) -> Vec<(usize, usize)> {
     edges
 }
 
-/// [`detect_edges`] into a reusable buffer (cleared first). Walks the
-/// frame one row slice at a time, comparing each pixel with its left
-/// neighbour in the same order as a `(row, col)` scan.
+/// [`detect_edges`] into a reusable buffer (cleared first). Compares
+/// each pixel with its left neighbour a 64-bit word at a time: bit `j`
+/// of `w ^ (w >> 1 | next << 63)` is set where columns `64k + j` and
+/// `64k + j + 1` differ, and set bits are emitted in `trailing_zeros`
+/// order, which is the order of a `(row, col)` scan.
 pub fn detect_edges_into(frame: &Frame, edges: &mut Vec<(usize, usize)>) {
     edges.clear();
     if frame.width == 0 {
         return;
     }
-    for (row, pixels) in frame.pixels.chunks_exact(frame.width).enumerate() {
-        for (col, pair) in pixels.windows(2).enumerate() {
-            if pair[1] != pair[0] {
-                edges.push((row, col + 1));
+    // Column pairs (c, c + 1) exist for c < width − 1; the last word of
+    // a row starts at or before that bound and masks off what lies past.
+    let pairs = frame.width - 1;
+    for (row, words) in frame.bits.chunks_exact(frame.words_per_row()).enumerate() {
+        for (k, &w) in words.iter().enumerate() {
+            let next = words.get(k + 1).copied().unwrap_or(0);
+            let mut diff = w ^ (w >> 1 | next << 63);
+            let first = 64 * k;
+            if first + 64 > pairs {
+                diff &= (1u64 << (pairs - first)) - 1;
+            }
+            while diff != 0 {
+                edges.push((row, first + diff.trailing_zeros() as usize + 1));
+                diff &= diff - 1;
             }
         }
     }
@@ -522,12 +600,12 @@ impl VoteTable {
 
     /// The tabulated cells of pixel `(row, col)`, or `None` when the
     /// point lies outside the table's frame.
-    fn pixel_cells(&self, row: usize, col: usize) -> Option<&[u16]> {
+    fn pixel_cells(&self, row: usize, col: usize) -> Option<&[u16; THETA_BINS]> {
         if row >= self.height || col >= self.width {
             return None;
         }
         let start = (row * self.width + col) * THETA_BINS;
-        self.cells.get(start..start + THETA_BINS)
+        self.cells.get(start..start + THETA_BINS)?.try_into().ok()
     }
 }
 
@@ -549,6 +627,11 @@ pub struct HoughScratch {
     /// one vote per sample (≤ 256) and the dump cell at most 45 per
     /// sample, so `u16` cannot overflow.
     acc: Vec<u16>,
+    /// How many of this call's samples drew each edge point.
+    draws: Vec<u16>,
+    /// Cells at `min_votes` or more, keyed strongest first and then in
+    /// cell order.
+    keys: Vec<(Reverse<u16>, usize)>,
     /// The shared vote table of the last frame geometry seen.
     table: Option<&'static VoteTable>,
 }
@@ -562,10 +645,17 @@ impl HoughScratch {
 
 /// [`hough_lines`] with caller-provided scratch and output buffers.
 ///
-/// Identical votes and lines: each sampled point votes the cells its
-/// frame geometry's shared vote table lists for it, which are bitwise
-/// the cells the direct `(ρ, θ)` quantisation gives (see `VoteTable`).
-/// The RNG draw sequence is unchanged.
+/// Identical votes and lines to voting each sample in turn and stably
+/// sorting every cell at `min_votes` by votes:
+/// - the RNG draw sequence is unchanged (`min(n, 256)` draws of
+///   `rng.below(n)`);
+/// - a point drawn `k` times votes once with weight `k`, and integer
+///   sums do not depend on their order;
+/// - each point's cells come from its frame geometry's shared vote
+///   table, bitwise the cells the direct `(ρ, θ)` quantisation gives
+///   (see `VoteTable`);
+/// - the 8 lines are the 8 smallest `(votes desc, cell asc)` keys, the
+///   order a stable sort of the index-ordered cells by votes gives.
 #[allow(clippy::too_many_arguments)] // mirrors `hough_lines` plus the two buffers
 pub fn hough_lines_into(
     edges: &[(usize, usize)],
@@ -585,55 +675,71 @@ pub fn hough_lines_into(
         _ => VoteTable::shared(frame_width, frame_height),
     };
     scratch.table = Some(table);
-    let acc = &mut scratch.acc;
+    let HoughScratch {
+        acc, draws, keys, ..
+    } = scratch;
+    // Probabilistic subsampling: at most 256 draws, as in the
+    // progressive probabilistic Hough transform's random selection stage.
+    draws.clear();
+    draws.resize(edges.len(), 0);
+    for _ in 0..edges.len().min(256) {
+        draws[rng.below(edges.len() as u64) as usize] += 1;
+    }
     acc.clear();
     // Every (θ, ρ) cell plus the dump cell.
     acc.resize(table.dump_cell() + 1, 0);
-    // Probabilistic subsampling: at most 256 points, as in the
-    // progressive probabilistic Hough transform's random selection stage.
-    let samples = edges.len().min(256);
-    for _ in 0..samples {
-        let (row, col) = edges[rng.below(edges.len() as u64) as usize];
+    let acc = &mut acc[..=table.dump_cell()];
+    for (&(row, col), &weight) in edges.iter().zip(draws.iter()) {
+        if weight == 0 {
+            continue;
+        }
         match table.pixel_cells(row, col) {
             Some(cells) => {
                 for &cell in cells {
-                    acc[usize::from(cell)] += 1;
+                    acc[usize::from(cell)] += weight;
                 }
             }
             None => {
                 for cell in table.point_cells(row, col) {
-                    acc[cell] += 1;
+                    acc[cell] += weight;
                 }
             }
         }
     }
-    // Cells are read in index order, as one filter over the whole
-    // accumulator would; runs of 16 with no cell at `min_votes` are
-    // skipped on a (vectorisable) max, since most of the grid is empty.
-    let (rho_bins, diag) = (table.rho_bins, table.diag);
+    // Runs of 16 cells with none at `min_votes` are skipped on one
+    // vectorisable test, since most of the grid is empty: `v ≥ min_votes`
+    // iff `v` stays nonzero after a saturating subtract of `min_votes − 1`.
+    keys.clear();
+    let below = u16::try_from(min_votes.saturating_sub(1)).unwrap_or(u16::MAX);
     for (run, votes) in acc[..table.dump_cell()].chunks(16).enumerate() {
-        if u32::from(votes.iter().fold(0, |m, &v| m.max(v))) < min_votes {
+        let empty = <&[u16; 16]>::try_from(votes)
+            .is_ok_and(|run| run.iter().fold(0, |m, &v| m | v.saturating_sub(below)) == 0);
+        if min_votes > 0 && empty {
             continue;
         }
         for (i, &v) in votes.iter().enumerate() {
             if u32::from(v) >= min_votes {
-                let idx = run * 16 + i;
-                let tb = idx / rho_bins;
-                let rb = idx % rho_bins;
-                lines.push(HoughLine {
-                    rho: rb as f64 - diag,
-                    theta: std::f64::consts::PI * tb as f64 / THETA_BINS as f64,
-                    votes: u32::from(v),
-                });
+                keys.push((Reverse(v), run * 16 + i));
             }
         }
     }
-    lines.sort_by_key(|l| std::cmp::Reverse(l.votes));
-    lines.truncate(8);
+    // Keys are distinct (one per cell), so the 8 smallest are well
+    // defined and need only themselves sorted.
+    if keys.len() > 8 {
+        keys.select_nth_unstable(7);
+        keys.truncate(8);
+    }
+    keys.sort_unstable();
+    let (rho_bins, diag) = (table.rho_bins, table.diag);
+    lines.extend(keys.iter().map(|&(Reverse(v), idx)| HoughLine {
+        rho: (idx % rho_bins) as f64 - diag,
+        theta: std::f64::consts::PI * (idx / rho_bins) as f64 / THETA_BINS as f64,
+        votes: u32::from(v),
+    }));
 }
 
-/// Recycled vision-pipeline buffers: frame pixels, edge points, Hough
-/// scratch and detected lines. A scenario run constructs one
+/// Recycled vision-pipeline buffers: frame bit rows, edge points, Hough
+/// scratch (accumulator, draw counts, selection keys) and detected lines. A scenario run constructs one
 /// [`LineFollower`]; without recycling, every run re-pays the
 /// pipeline's first-frame buffer growth (~15 allocations). Each buffer
 /// is cleared or fully overwritten before use, so recycling cannot
@@ -642,7 +748,7 @@ pub fn hough_lines_into(
 /// immutable and matched to the frame geometry on every call.)
 #[derive(Debug, Default)]
 struct VisionBuffers {
-    pixels: Vec<bool>,
+    bits: Vec<u64>,
     edges: Vec<(usize, usize)>,
     hough: HoughScratch,
     lines: Vec<HoughLine>,
@@ -717,11 +823,7 @@ impl LineFollower {
                 .with_integral_limit(0.2),
             last_steer: 0.0,
             lost_frames: 0,
-            frame: Frame {
-                width: camera.width,
-                height: camera.height,
-                pixels: buffers.pixels,
-            },
+            frame: Frame::empty(buffers.bits),
             edges: buffers.edges,
             hough: buffers.hough,
             lines: buffers.lines,
@@ -780,7 +882,7 @@ impl LineFollower {
 impl Drop for LineFollower {
     fn drop(&mut self) {
         let buffers = VisionBuffers {
-            pixels: std::mem::take(&mut self.frame.pixels),
+            bits: std::mem::take(&mut self.frame.bits),
             edges: std::mem::take(&mut self.edges),
             hough: std::mem::take(&mut self.hough),
             lines: std::mem::take(&mut self.lines),
@@ -1179,6 +1281,40 @@ mod tests {
     }
 
     #[test]
+    fn min_votes_zero_ranks_unvoted_cells_too() {
+        // A point 5000 rows below the frame has ρ in range only at θ = 0
+        // (every other θ bin votes the dump cell), so with every cell
+        // eligible seven of the 8 lines have no votes.
+        let edges = [(5000, 0)];
+        assert_matches_reference(&edges, 64, 32, 0, 5).unwrap();
+        let lines = hough_lines(&edges, 64, 32, 0, &mut SimRng::seed_from(5));
+        assert_eq!(lines.len(), 8);
+        assert_eq!(lines.iter().filter(|l| l.votes == 0).count(), 7);
+    }
+
+    #[test]
+    fn large_accumulators_keep_full_cell_indices() {
+        // 1100 × 1100 has 45 × 3113 cells. Points on the line at θ bin 30
+        // (120°), ρ = 600 make the strongest cells ones past index 65 535.
+        let (cos_t, sin_t) = (-0.5f64, 3f64.sqrt() / 2.0);
+        let edges: Vec<(usize, usize)> = (0..200)
+            .map(|i| {
+                let col = 2.0 * f64::from(i);
+                (
+                    ((600.0 - col * cos_t) / sin_t).round() as usize,
+                    col as usize,
+                )
+            })
+            .collect();
+        assert_matches_reference(&edges, 1100, 1100, 5, 23).unwrap();
+        let lines = hough_lines(&edges, 1100, 1100, 5, &mut SimRng::seed_from(23));
+        let table = VoteTable::shared(1100, 1100);
+        let tb = (lines[0].theta * THETA_BINS as f64 / std::f64::consts::PI).round() as usize;
+        let cell = tb * table.rho_bins + (lines[0].rho + table.diag).round() as usize;
+        assert!(cell > usize::from(u16::MAX), "strongest cell {cell}");
+    }
+
+    #[test]
     fn vote_table_is_built_once_and_shared_across_threads() {
         let table_on_new_thread = || {
             std::thread::spawn(|| {
@@ -1216,11 +1352,7 @@ mod tests {
     fn reused_scratch_matches_fresh_buffers_bitwise() {
         let cam = CameraModel::default();
         let track = Track::l_corner(3.0);
-        let mut frame = Frame {
-            width: 0,
-            height: 0,
-            pixels: Vec::new(),
-        };
+        let mut frame = Frame::empty(Vec::new());
         let mut edges = Vec::new();
         let mut scratch = HoughScratch::new();
         let mut lines = Vec::new();
@@ -1255,15 +1387,11 @@ mod tests {
     }
 
     /// The pre-optimization renderer: every pixel gets the exact
-    /// `distance_to` test. The production `capture_into` only runs that
-    /// test on capsule-selected candidate columns; this reference pins
-    /// that the candidate filter never changes a single pixel.
+    /// `distance_to` test. The production `capture_into` settles most
+    /// pixels from two capsule spans and runs that test only between
+    /// them; this reference pins that the spans never change a pixel.
     fn capture_reference(cam: &CameraModel, pose: &BicycleState, track: &Track) -> Frame {
-        let mut frame = Frame {
-            width: cam.width,
-            height: cam.height,
-            pixels: vec![false; cam.width * cam.height],
-        };
+        let mut pixels = vec![false; cam.width * cam.height];
         let cos_t = pose.theta.cos();
         let sin_t = pose.theta.sin();
         let mpc = cam.meters_per_col();
@@ -1276,28 +1404,100 @@ mod tests {
                 let wx = pose.x + ahead * cos_t - lateral * sin_t;
                 let wy = pose.y + ahead * sin_t + lateral * cos_t;
                 if track.distance_to(wx, wy) <= half_line {
-                    frame.pixels[row * cam.width + col] = true;
+                    pixels[row * cam.width + col] = true;
                 }
             }
         }
-        frame
+        frame_from_pixels(cam.width, cam.height, &pixels)
+    }
+
+    /// A frame holding a row-major `Vec<bool>` image, bit by bit.
+    fn frame_from_pixels(width: usize, height: usize, pixels: &[bool]) -> Frame {
+        assert_eq!(pixels.len(), width * height);
+        let words_per_row = width.div_ceil(64);
+        let mut bits = vec![0u64; words_per_row * height];
+        for (i, _) in pixels.iter().enumerate().filter(|(_, &lit)| lit) {
+            let (row, col) = (i / width, i % width);
+            bits[row * words_per_row + col / 64] |= 1 << (col % 64);
+        }
+        Frame {
+            width,
+            height,
+            bits,
+        }
+    }
+
+    /// The pre-optimization edge walk: each pixel of a `Vec<bool>` image
+    /// against its left neighbour, one row slice at a time.
+    fn detect_edges_reference(pixels: &[bool], width: usize) -> Vec<(usize, usize)> {
+        let mut edges = Vec::new();
+        if width == 0 {
+            return edges;
+        }
+        for (row, pixels) in pixels.chunks_exact(width).enumerate() {
+            for (col, pair) in pixels.windows(2).enumerate() {
+                if pair[1] != pair[0] {
+                    edges.push((row, col + 1));
+                }
+            }
+        }
+        edges
+    }
+
+    /// The default camera, a two-word-per-row camera, and lines narrower
+    /// than one column (core span holding at most one column centre) and
+    /// than the 2e-7 m capsule margin (no core capsule at all).
+    fn raster_cameras() -> [CameraModel; 4] {
+        let cam = CameraModel::default();
+        [
+            cam,
+            CameraModel {
+                width: 130,
+                height: 40,
+                ..cam
+            },
+            CameraModel {
+                line_width_m: 0.01,
+                ..cam
+            },
+            CameraModel {
+                line_width_m: 1.5e-7,
+                ..cam
+            },
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 64×32 frame")]
+    fn get_panics_past_the_last_column() {
+        let frame = CameraModel::default().capture(
+            &BicycleState {
+                x: 1.0,
+                y: 0.0,
+                theta: 0.0,
+            },
+            &Track::straight(10.0),
+        );
+        // Pixel (1, 0) in a flat row-major layout; outside the frame.
+        frame.get(0, frame.width());
     }
 
     #[test]
     fn capture_matches_reference_bitwise() {
-        let cam = CameraModel::default();
-        for track in [Track::straight(10.0), Track::l_corner(3.0)] {
-            for i in 0..40 {
-                // Poses sweeping across the track, rotating through a
-                // full turn, including ones straddling the line edge.
-                let pose = BicycleState {
-                    x: 0.25 * f64::from(i) - 1.0,
-                    y: 0.055 * f64::from(i) - 1.0,
-                    theta: 0.17 * f64::from(i),
-                };
-                let expect = capture_reference(&cam, &pose, &track);
-                let got = cam.capture(&pose, &track);
-                assert_eq!(expect, got, "track/pose {i}");
+        for cam in raster_cameras() {
+            for track in [Track::straight(10.0), Track::l_corner(3.0)] {
+                for i in 0..40 {
+                    // Poses sweeping across the track, rotating through a
+                    // full turn, including ones straddling the line edge.
+                    let pose = BicycleState {
+                        x: 0.25 * f64::from(i) - 1.0,
+                        y: 0.055 * f64::from(i) - 1.0,
+                        theta: 0.17 * f64::from(i),
+                    };
+                    let expect = capture_reference(&cam, &pose, &track);
+                    let got = cam.capture(&pose, &track);
+                    assert_eq!(expect, got, "{cam:?} track/pose {i}");
+                }
             }
         }
     }
@@ -1308,29 +1508,71 @@ mod tests {
             x in -2.0f64..6.0,
             y in -2.0f64..4.0,
             theta in -7.0f64..7.0,
+            paper_track in any::<bool>(),
+            cam in 0usize..4,
         ) {
-            let cam = CameraModel::default();
-            let track = Track::l_corner(3.0);
-            let pose = BicycleState { x, y, theta };
+            // The L corner, or the paper scenario's straight track (start
+            // 4 m + 2 m, driven toward -x) seen from poses near it.
+            let cam = raster_cameras()[cam];
+            let (track, pose) = if paper_track {
+                (Track::straight(6.0), BicycleState { x, y: y / 4.0 - 0.25, theta })
+            } else {
+                (Track::l_corner(3.0), BicycleState { x, y, theta })
+            };
             let expect = capture_reference(&cam, &pose, &track);
             let got = cam.capture(&pose, &track);
             prop_assert_eq!(expect, got);
         }
 
         #[test]
+        fn bit_rows_match_a_bool_model(
+            words in proptest::collection::vec(any::<u64>(), 9),
+            mask in proptest::collection::vec(any::<u64>(), 9),
+            sparse in any::<bool>(),
+            height in 0usize..5,
+        ) {
+            // Widths around the word size: carries across words and the
+            // mask on the padding bits of a row's last word. Pixels are
+            // random bits, a quarter of them lit when `sparse`.
+            for width in [1, 2, 63, 64, 65, 96, 130] {
+                let pixels: Vec<bool> = (0..width * height)
+                    .map(|i| {
+                        let bit = |w: &[u64]| w[i / 64] >> (i % 64) & 1 == 1;
+                        bit(&words) && (!sparse || bit(&mask))
+                    })
+                    .collect();
+                let frame = frame_from_pixels(width, height, &pixels);
+                prop_assert_eq!(detect_edges(&frame), detect_edges_reference(&pixels, width));
+                for (i, &lit) in pixels.iter().enumerate() {
+                    prop_assert_eq!(frame.get(i / width, i % width), lit);
+                }
+                let lit = pixels.iter().filter(|&&p| p).count();
+                let ratio = lit as f64 / pixels.len() as f64;
+                prop_assert_eq!(frame.fill_ratio().to_bits(), ratio.to_bits());
+            }
+        }
+
+        #[test]
         fn hough_table_matches_reference_bitwise(
             in_frame in proptest::collection::vec((0usize..56, 0usize..112), 0..400),
             far in proptest::collection::vec((0usize..5000, 0usize..5000), 0..4),
+            repeats in proptest::collection::vec(any::<usize>(), 0..100),
             wide in any::<bool>(),
-            min_votes in 1u32..12,
+            min_votes in 0u32..12,
             seed in any::<u64>(),
         ) {
-            // Up to 400 points (so the 256-draw cap is exercised), part of
-            // them past the frame's right or bottom edge and a few far
-            // outside it, on the default camera and one larger geometry.
+            // Up to 500 points (so the 256-draw cap is exercised), part of
+            // them past the frame's right or bottom edge, a few far
+            // outside it and some listed more than once, on the default
+            // camera and one larger geometry.
             let (width, height) = if wide { (96, 48) } else { (64, 32) };
             let mut edges = in_frame;
             edges.extend(far);
+            if !edges.is_empty() {
+                for r in repeats {
+                    edges.push(edges[r % edges.len()]);
+                }
+            }
             assert_matches_reference(&edges, width, height, min_votes, seed)?;
         }
 
